@@ -315,9 +315,6 @@ def render_result(result: "Result", kind: Optional[str] = None) -> str:
         return result.to_json()
     if kind == "simulate_sweep" or (kind == "simulate" and "runs" in result.data):
         return simulate_sweep_section(result)
-    if kind == "simulate_batch":
-        # Batch rows carry the same fields as sweep rows -- one table.
-        return simulate_sweep_section(result)
     if kind == "simulate":
         return simulate_section(result)
     if kind == "ablation":

@@ -85,6 +85,12 @@ def _session(args: argparse.Namespace) -> Engine:
     return Engine(store=store)
 
 
+def _unknown_key(exc: KeyError) -> SystemExit:
+    """A catalog lookup miss as a usage error: its one-line message, status 2."""
+    print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    return SystemExit(2)
+
+
 def _cmd_tables(_: argparse.Namespace) -> int:
     print("Table I -- speculative attacks and their variants")
     print(analysis.table1())
@@ -105,7 +111,10 @@ def _cmd_attacks(_: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    variant = get_attack(args.key)
+    try:
+        variant = get_attack(args.key)
+    except KeyError as exc:
+        raise _unknown_key(exc) from None
     graph = variant.build_graph()
     print(graph.describe())
     if args.dot:
@@ -123,8 +132,11 @@ def _cmd_defenses(_: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    defense = get_defense(args.defense)
-    variant = get_attack(args.attack)
+    try:
+        defense = get_defense(args.defense)
+        variant = get_attack(args.attack)
+    except KeyError as exc:
+        raise _unknown_key(exc) from None
     result = _session(args).evaluate(defense, variant)
     if args.json:
         print(result.to_json())
@@ -212,31 +224,6 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
 def _simulate_spec(args: argparse.Namespace) -> ScenarioSpec:
     """Migrate the ``simulate`` flag zoo onto one declarative scenario spec."""
     model = "contended" if args.contended else None
-    if args.batch:
-        if args.defense:
-            raise SystemExit(
-                "--batch points carry their own defenses; drop --defense"
-            )
-        try:
-            document = json.loads(Path(args.batch).read_text(encoding="utf-8"))
-        except OSError as error:
-            raise SystemExit(f"cannot read batch file {args.batch!r}: {error}")
-        except ValueError as error:
-            raise SystemExit(f"batch file {args.batch!r} is not valid JSON: {error}")
-        if isinstance(document, dict):
-            points = document.get("points")
-            secret = document.get("secret", args.secret)
-            batch_model = document.get("model", model)
-        else:
-            points, secret, batch_model = document, args.secret, model
-        if not isinstance(points, list) or not points:
-            raise SystemExit(
-                f"batch file {args.batch!r} must hold a non-empty JSON list of "
-                "points (or an object with a 'points' list)"
-            )
-        return ScenarioSpec(
-            "simulate_batch", points=tuple(points), secret=secret, model=batch_model
-        )
     if args.validate:
         return ScenarioSpec("validate_timing", model=model)
     if args.ablate_window:
@@ -273,12 +260,15 @@ def _simulate_spec(args: argparse.Namespace) -> ScenarioSpec:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _simulate_spec(args)
-    result = _session(args).run(spec, parallel=args.parallel)
+    try:
+        result = _session(args).run(spec, parallel=args.parallel)
+    except KeyError as exc:
+        raise _unknown_key(exc) from None
     if args.json:
         print(result.to_json())
     else:
         print(render_result(result, spec.kind))
-    if spec.kind in ("simulate_sweep", "simulate_batch", "window_ablation"):
+    if spec.kind in ("simulate_sweep", "window_ablation"):
         return 0
     return 0 if result.ok else 1
 
@@ -771,10 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_mode.add_argument("--ablate-window", action="store_true",
                                help="sweep the ROB/RS/port window-length ablation "
                                     "(all attacks, or just the named one)")
-    simulate_mode.add_argument("--batch", metavar="FILE",
-                               help="run a JSON list of simulate points (attack "
-                                    "names or {attack, defenses, secret, model} "
-                                    "objects) through one warm session per worker")
     simulate_parser.add_argument("--contended", action="store_true",
                                  help="use the contended timing model "
                                       "(bounded FU ports and CDB width)")

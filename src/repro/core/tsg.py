@@ -41,54 +41,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import os
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .edges import Dependency, DependencyKind
 from .nodes import Operation, OperationType
-
-try:  # numpy is optional: the stdlib big-int path is always available.
-    import numpy as _np
-except ImportError:  # pragma: no cover - container always ships numpy
-    _np = None
-
-#: Environment gate for the closure backend: ``auto`` (default) picks numpy
-#: when importable, ``python`` forces the stdlib big-int path, ``numpy``
-#: demands numpy (raising if absent).  Both backends are differentially
-#: tested equal in ``tests/test_batch_plane.py``.
-CLOSURE_BACKEND_ENV = "REPRO_TSG_BACKEND"
-
-#: Bits per closure word on the numpy path (uint64 chunks).
-_WORD_BITS = 64
-
-#: Below this many vertices the numpy round-trip costs more than the big-int
-#: sweep it replaces; the paper's 10-20-vertex attack graphs stay pure-python.
-_NUMPY_MIN_VERTICES = 64
-
-
-def closure_backend() -> str:
-    """Resolve the active closure backend: ``"numpy"`` or ``"python"``."""
-    choice = os.environ.get(CLOSURE_BACKEND_ENV, "auto").strip().lower()
-    if choice == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                f"{CLOSURE_BACKEND_ENV}=numpy but numpy is not importable"
-            )
-        return "numpy"
-    if choice == "python":
-        return "python"
-    return "numpy" if _np is not None else "python"
-
-
-def _pack_masks(masks: Sequence[int], words: int):
-    """Pack big-int bitmasks into a ``(len(masks), words)`` uint64 array."""
-    data = b"".join(mask.to_bytes(words * 8, "little") for mask in masks)
-    return _np.frombuffer(data, dtype="<u8").reshape(len(masks), words)
-
-
-def _unpack_masks(array) -> List[int]:
-    """Inverse of :func:`_pack_masks`: uint64 rows back to big-int bitmasks."""
-    return [int.from_bytes(row.tobytes(), "little") for row in array]
 
 
 class CycleError(ValueError):
@@ -213,18 +169,10 @@ class TopologicalSortGraph:
     def _rebuild_closure(self) -> None:
         """Recompute the ancestor/descendant bitmasks with a topological sweep.
 
-        Dispatches on :func:`closure_backend`: large graphs take the numpy
-        sweep over uint64 word chunks, everything else the stdlib big-int
-        path.  Both produce bit-identical masks (differentially tested).
+        Each vertex ORs in the closure of its predecessors on the forward pass
+        and of its successors on the backward pass: per-vertex big-int ORs.
         """
         order = self.topological_order()
-        if closure_backend() == "numpy" and len(order) >= _NUMPY_MIN_VERTICES:
-            self._rebuild_closure_numpy(order)
-        else:
-            self._rebuild_closure_python(order)
-
-    def _rebuild_closure_python(self, order: List[str]) -> None:
-        """The stdlib path: per-vertex big-int ORs along the sweep."""
         count = len(self._names)
         anc = [0] * count
         desc = [0] * count
@@ -245,38 +193,6 @@ class TopologicalSortGraph:
             desc[i] = gathered
         self._anc = anc
         self._desc = desc
-
-    def _rebuild_closure_numpy(self, order: List[str]) -> None:
-        """The vectorized path: masks live in ``(V, V/64)`` uint64 arrays.
-
-        Each sweep step ORs all of a vertex's predecessor (or successor)
-        closure rows at once -- ``np.bitwise_or.reduce`` over machine-word
-        chunks -- instead of the per-predecessor big-int loop.
-        """
-        count = len(self._names)
-        words = (count + _WORD_BITS - 1) // _WORD_BITS
-        index = self._index
-        anc = _np.zeros((count, words), dtype="<u8")
-        desc = _np.zeros((count, words), dtype="<u8")
-        unit = _np.zeros((count, words), dtype="<u8")
-        for i in range(count):
-            unit[i, i // _WORD_BITS] = 1 << (i % _WORD_BITS)
-        for name in order:
-            preds = self._pred[name]
-            if preds:
-                rows = [index[p] for p in preds]
-                anc[index[name]] = _np.bitwise_or.reduce(
-                    anc[rows] | unit[rows], axis=0
-                )
-        for name in reversed(order):
-            succs = self._succ[name]
-            if succs:
-                rows = [index[s] for s in succs]
-                desc[index[name]] = _np.bitwise_or.reduce(
-                    desc[rows] | unit[rows], axis=0
-                )
-        self._anc = _unpack_masks(anc)
-        self._desc = _unpack_masks(desc)
 
     # ------------------------------------------------------------------
     # Inspection
@@ -372,27 +288,11 @@ class TopologicalSortGraph:
 
         Pairs are returned in insertion order of the first member, each pair
         ordered by insertion as well -- the same order the pairwise
-        ``itertools.combinations`` scan used to produce.  O(V * V/w); on the
-        numpy backend the per-row ``later & ~(anc | desc)`` masks for *all*
-        rows are computed in one vectorized pass over uint64 word chunks.
+        ``itertools.combinations`` scan used to produce.  O(V * V/w).
         """
         count = len(self._names)
         names = self._names
         pairs: List[Tuple[str, str]] = []
-        if closure_backend() == "numpy" and count >= _NUMPY_MIN_VERTICES:
-            words = (count + _WORD_BITS - 1) // _WORD_BITS
-            full = (1 << count) - 1
-            later = _pack_masks(
-                [full >> (i + 1) << (i + 1) for i in range(count)], words
-            )
-            anc = _pack_masks(self._anc, words)
-            desc = _pack_masks(self._desc, words)
-            racing_rows = later & ~(anc | desc)
-            for i, row in enumerate(racing_rows):
-                racing = int.from_bytes(row.tobytes(), "little")
-                first = names[i]
-                pairs.extend((first, names[j]) for j in _iter_bits(racing))
-            return pairs
         full = (1 << count) - 1
         for i in range(count):
             later = full >> (i + 1) << (i + 1)

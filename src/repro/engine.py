@@ -309,10 +309,9 @@ def _simulate_shard_worker(
 def _decode_simulate_point(spec: ScenarioSpec) -> Tuple:
     """Decode one ``simulate`` spec to ``(attack, scenario, config, secret, model)``.
 
-    Shared by the per-point executor, the batch dedupe pass and the batch
-    worker so every plane resolves a point to the *same* simulation-cache
-    key -- the registry aliases (MDS siblings, Foreshadow deployments)
-    collapse identically everywhere.
+    ``scenario`` is the exploit the registry attack resolves to, so aliased
+    attacks (MDS siblings, Foreshadow deployments) share one simulation-cache
+    key.  :meth:`Engine._decode_point` memoizes it per session.
     """
     from .uarch.config import DEFAULT_CONFIG
     from .uarch.timing.scheduler import DEFAULT_MODEL
@@ -328,78 +327,6 @@ def _decode_simulate_point(spec: ScenarioSpec) -> Tuple:
     run_model = model if model is not None else DEFAULT_MODEL
     secret = decode_secret(spec.get("secret"))
     return attack, scenario, run_config, secret, run_model
-
-
-#: The parameters one ``simulate_batch`` point may carry -- exactly the
-#: ``simulate`` spec surface, so a point hashes to the spec the same call
-#: would produce through :meth:`Engine.simulate`.
-_BATCH_POINT_PARAMS = frozenset({"attack", "defenses", "config", "secret", "model"})
-
-
-def _batch_point_spec(
-    point: object,
-    secret: Optional[object] = None,
-    model: Optional[object] = None,
-) -> ScenarioSpec:
-    """One batch entry as its equivalent per-point ``simulate`` spec.
-
-    A bare string is an attack name; a mapping may carry any ``simulate``
-    parameter, with the batch-level ``secret``/``model`` as defaults.  The
-    resulting spec is content-identical to what the same point would
-    produce through :meth:`Engine.simulate` -- the envelope-identity
-    contract of the batch plane.
-    """
-    if isinstance(point, str):
-        point = {"attack": point}
-    if not isinstance(point, Mapping):
-        raise TypeError(
-            "batch point must be an attack name or a mapping of simulate "
-            f"parameters, got {type(point).__name__}"
-        )
-    unknown = set(point) - _BATCH_POINT_PARAMS
-    if unknown:
-        raise ValueError(
-            f"unknown batch point parameters: {', '.join(sorted(map(str, unknown)))}"
-        )
-    if not point.get("attack"):
-        raise ValueError("batch point needs an 'attack'")
-    merged = dict(point)
-    merged.setdefault("secret", secret)
-    merged.setdefault("model", model)
-    return ScenarioSpec("simulate", **merged)
-
-
-def _simulate_batch_worker(
-    ref: StoreRef,
-    faults: Optional["FaultPlan"],
-    ctx: Optional[TraceContext],
-    specs: Sequence[ScenarioSpec],
-) -> List[Tuple["ExploitResult", List[Dict[str, object]]]]:
-    """Serve one sublist of ``simulate`` points from a single warm engine.
-
-    Unlike :func:`_simulate_shard_worker` (stateless tuples), the whole
-    sublist shares one worker :class:`Engine`: the simulation cache and the
-    TSG-verdict memo are built once and reused across every point of the
-    shard.  Store / fault / trace semantics match the supervised per-point
-    plane: each point checkpoints its envelope through the shared store
-    ref, honors the shipped :class:`~repro.faults.FaultPlan`, and runs
-    under its own ``worker.point`` span whose records ride back with the
-    payload -- one ``(payload, spans)`` pair per point, so the shards
-    concatenate exactly like every other ``_run_sharded`` worker.
-    """
-    tracer = _worker_tracer(ctx)
-    engine = Engine(store=store_from_ref(ref), faults=faults, tracer=tracer)
-    items: List[Tuple["ExploitResult", List[Dict[str, object]]]] = []
-    for spec in specs:
-        if tracer is None:
-            items.append((engine.run(spec).payload, []))
-            continue
-        with tracer.span(
-            "worker.point", parent=ctx, kind=spec.kind, key=spec.content_hash()[:12]
-        ):
-            payload = engine.run(spec).payload
-        items.append((payload, tracer.drain()))
-    return items
 
 
 def _worker_tracer(ctx: Optional[TraceContext]) -> Optional[Tracer]:
@@ -685,8 +612,7 @@ class Engine:
         self._tsg_verdicts: Dict[str, Optional[bool]] = {}
         #: Decoded ``simulate`` points keyed on their raw spec parameters:
         #: the defense/config/model decode runs once per distinct point per
-        #: session instead of once per serve -- the warm context that makes
-        #: batch campaigns cheap.  Values are what
+        #: session instead of once per serve.  Values are what
         #: :func:`_decode_simulate_point` returns.
         self._point_decodes: Dict[Tuple, Tuple] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -2081,41 +2007,6 @@ class Engine:
             payload=rows,
         )
 
-    def simulate_batch(
-        self,
-        points: Sequence[object],
-        *,
-        secret: Optional[int] = None,
-        model: Optional["TimingModel"] = None,
-        parallel: Optional[int] = None,
-    ) -> Result:
-        """Run a *list* of timing-simulation points through warm sessions.
-
-        Spelling of ``run(ScenarioSpec("simulate_batch", points=...))``.
-
-        Each point is an attack name or a mapping of ``simulate``
-        parameters (``attack`` / ``defenses`` / ``config`` / ``secret`` /
-        ``model``); the batch-level ``secret``/``model`` fill in per-point
-        gaps.  Points are served *in order* and each envelope is
-        byte-identical to the per-point :meth:`simulate` call on the same
-        session -- the batch only changes who pays for warmup: with
-        ``parallel`` > 1 deduplicated cache misses ship to pool workers as
-        whole sublists, and each worker reuses one warm engine (simulation
-        cache, TSG-verdict memo, decoded configs) across its sublist
-        instead of rebuilding per point.  Store checkpoints, FaultPlan
-        selection and ``worker.point`` spans behave exactly like the
-        per-point plane.
-        """
-        return self.run(
-            ScenarioSpec(
-                "simulate_batch",
-                points=tuple(points),
-                secret=secret,
-                model=model,
-            ),
-            parallel=parallel,
-        )
-
     def _decode_point(self, spec: ScenarioSpec) -> Tuple:
         """Session-memoized :func:`_decode_simulate_point`.
 
@@ -2139,106 +2030,6 @@ class Engine:
             cached = _decode_simulate_point(spec)
             self._store(self._point_decodes, key, cached)
         return cached
-
-    def _simulation_key(self, spec: ScenarioSpec) -> Tuple:
-        """The session simulation-cache key of one ``simulate`` point spec."""
-        _, scenario, run_config, secret, run_model = self._decode_point(spec)
-        return (scenario, run_config, secret, run_model)
-
-    def _prewarm_batch(
-        self, point_specs: Sequence[ScenarioSpec], workers: int
-    ) -> Dict[Tuple, Result]:
-        """Ship a batch's deduplicated cache misses to the pool.
-
-        Without a :class:`FailurePolicy` the misses run as contiguous
-        sublists, one warm engine amortized across each (the fast
-        unsupervised plane).  With a policy they run as supervised
-        per-point tasks through the same machinery as the grid plane --
-        timeouts, bounded retry, pool respawn and quarantine, all counted
-        in ``stats()["grid"]`` -- trading shard amortization for exact
-        blame assignment.  Either way the worker threads the session's
-        fault plan and trace context, so batch points keep FaultPlan
-        selection and ``worker.point`` spans.
-
-        Computed payloads are absorbed into the session simulation cache;
-        the caller then serves every point in order through :meth:`run`.
-        Returns the quarantined points (simulation key -> error envelope)
-        so the batch can report them instead of re-tripping the failure
-        in-process; empty without a policy (failures propagate fail-fast).
-        """
-        ref = store_ref(self.store)
-        tracer = self._active_tracer()
-        ctx = tracer.current_context() if tracer is not None else None
-        seen = set()
-        misses: List[ScenarioSpec] = []
-        for pspec in point_specs:
-            key = self._simulation_key(pspec)
-            if key in seen or key in self._simulations:
-                continue
-            seen.add(key)
-            misses.append(pspec)
-        if not misses:
-            return {}
-        if self.policy is not None:
-            aliased = True
-            if self.store is not None:
-                aliased = getattr(self.store, "aliases_values", True)
-            quarantined: Dict[Tuple, Result] = {}
-            for point in self._iter_policy(
-                misses, list(range(len(misses))), workers, aliased
-            ):
-                key = self._simulation_key(point.spec)
-                if point.result.kind == "error":
-                    quarantined[key] = point.result
-                elif key not in self._simulations:
-                    self._store(self._simulations, key, point.result.payload)
-            return quarantined
-        computed = self._run_sharded(
-            partial(_simulate_batch_worker, ref, self.faults, ctx), misses, workers
-        )
-        for pspec, (payload, spans) in zip(misses, computed):
-            key = self._simulation_key(pspec)
-            if key not in self._simulations:
-                self._store(self._simulations, key, payload)
-            if tracer is not None and spans:
-                tracer.absorb(spans)
-        return {}
-
-    def _run_simulate_batch(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        shared_secret = spec.get("secret")
-        shared_model = spec.get("model")
-        point_specs = [
-            _batch_point_spec(point, shared_secret, shared_model)
-            for point in spec.get("points") or ()
-        ]
-        workers = self._workers(parallel)
-        quarantined: Dict[Tuple, Result] = {}
-        if workers > 1 and len(point_specs) > 1:
-            quarantined = self._prewarm_batch(point_specs, workers)
-        results = []
-        for pspec in point_specs:
-            poisoned = quarantined.get(self._simulation_key(pspec))
-            results.append(poisoned if poisoned is not None else self.run(pspec))
-        rows = [result.data for result in results]
-        data: Dict[str, object] = {
-            "points": len(rows),
-            "unique_simulations": len(
-                {self._simulation_key(pspec) for pspec in point_specs}
-            ),
-            "leaking": sum(1 for row in rows if row.get("transmit_beats_squash")),
-            "rows": rows,
-        }
-        failed = sum(1 for result in results if result.kind == "error")
-        if failed:
-            data["quarantined"] = failed
-        return Result(
-            kind="simulate_batch",
-            subject=f"batch ({len(rows)} points)",
-            ok=not failed,
-            cache="none",
-            data=data,
-            payload=results,
-        )
 
     # ======================================================================
     # The differential fuzzing plane (repro.fuzz)

@@ -130,13 +130,6 @@ KINDS: Dict[str, KindInfo] = {
             description="the (attack x defense) timing grid",
         ),
         KindInfo(
-            "simulate_batch",
-            ("points", "secret", "model"),
-            required=("points",),
-            grid=True,
-            description="a list of timing points served via one warm session per worker",
-        ),
-        KindInfo(
             "window_ablation",
             ("attacks", "window_grid", "port_configs", "secret"),
             grid=True,

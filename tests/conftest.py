@@ -51,7 +51,7 @@ kernel_secret: address=0xffff0000 size=64 kernel protected
 FAULT_TEST_TIMEOUT_SECONDS = 90.0
 
 #: Markers whose tests run under the SIGALRM wall-clock guard.
-GUARDED_MARKERS = ("faults", "service", "obs", "batch", "fuzz")
+GUARDED_MARKERS = ("faults", "service", "obs", "fuzz")
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -1,19 +1,18 @@
-"""The batch timing plane: differential identities and hot-path bug pins.
+"""Scheduler and grid-path differential identities, plus hot-path bug pins.
 
-Three families of guarantees from the batch PR live here:
+Two families of guarantees live here:
 
-* **Masked arbitration == per-op walk.**  Both schedulers now arbitrate
-  each cycle's ready ops in one integer-bitmask pass;
+* **Masked arbitration == per-op walk.**  Both schedulers arbitrate each
+  cycle's ready ops in one integer-bitmask pass;
   :class:`ReferenceRescanScheduler` below is the *verbatim* pre-mask
   rescan walk, kept as the fixed point the refactor is differentially
   tested against (both schedulers, random contended models, the paper's
   exploit corpus).
-* **Batch == per-point.**  ``Engine.simulate_batch`` envelopes are
-  byte-identical (``Result.to_json``) to the same points served one
-  :meth:`Engine.run` at a time on an equivalent session.
-* **Closure backends agree.**  The numpy word-chunk closure sweep and the
-  stdlib big-int sweep produce bit-identical ancestor/descendant masks
-  and the same racing-pair list, on random DAGs, via either entry point.
+* **Explicit simulate grid == per-point loop.**  A list of ``simulate``
+  points runs through :meth:`Engine.run_grid` over
+  ``ScenarioGrid.explicit``; its envelopes are byte-identical
+  (``Result.to_json``) to the same points served one :meth:`Engine.run`
+  at a time, and pool-served rows equal serial rows.
 
 Plus regression pins for the satellite bugfixes: the ``stats()["runs"]``
 counter (real executions only, never store-warm serves), the
@@ -26,7 +25,7 @@ from __future__ import annotations
 import io
 import json
 import random
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,10 +33,9 @@ from hypothesis import given, settings, strategies as st
 from test_timing_scheduler import random_contended_model, random_stream
 
 from repro import perf
-from repro.core.tsg import TopologicalSortGraph, _np, closure_backend
-from repro.engine import Engine, _batch_point_spec
+from repro.engine import Engine
 from repro.obs.progress import MIN_MEASURABLE_SECONDS, ProgressLine
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioGrid, ScenarioSpec
 from repro.store import DiskStore
 from repro.uarch.defenses import SimDefense
 from repro.uarch.timing import (
@@ -50,8 +48,6 @@ from repro.uarch.timing import (
 from repro.uarch.timing.ops import PORT_POOLS, port_kind
 from repro.uarch.timing.scheduler import _dependencies
 from repro.uarch.timing.validate import SCENARIOS
-
-pytestmark = pytest.mark.batch
 
 
 class ReferenceRescanScheduler:
@@ -235,80 +231,84 @@ def test_reference_walk_on_exploit_corpus():
 
 
 # ---------------------------------------------------------------------------
-# Batch == per-point: envelope byte-identity
+# Explicit simulate grid == per-point loop: envelope byte-identity
 # ---------------------------------------------------------------------------
 _ATTACKS = sorted(SCENARIOS)
 _DEFENSES = sorted(defense.name for defense in SimDefense)
 
 
+def _simulate_grid(points) -> ScenarioGrid:
+    """An explicit ``simulate`` grid: one spec per ``(attack, defenses)``."""
+    return ScenarioGrid.explicit(
+        [
+            ScenarioSpec("simulate", attack=attack, defenses=defenses or None)
+            for attack, defenses in points
+        ]
+    )
+
+
 @st.composite
-def batch_points(draw):
-    """A small campaign: attacks, optionally defended, as batch points."""
+def simulate_points(draw):
+    """A small campaign: attacks, optionally defended, repeats allowed."""
     count = draw(st.integers(min_value=1, max_value=4))
-    points = []
-    for _ in range(count):
-        attack = draw(st.sampled_from(_ATTACKS))
-        defenses = draw(
-            st.lists(st.sampled_from(_DEFENSES), max_size=2, unique=True)
+    return [
+        (
+            draw(st.sampled_from(_ATTACKS)),
+            tuple(draw(st.lists(st.sampled_from(_DEFENSES), max_size=2, unique=True))),
         )
-        if defenses:
-            points.append({"attack": attack, "defenses": tuple(defenses)})
-        else:
-            points.append(attack)
-    return points
+        for _ in range(count)
+    ]
 
 
 @settings(max_examples=15, deadline=None)
-@given(points=batch_points())
-def test_batch_envelopes_byte_identical_to_per_point(points):
-    """``simulate_batch`` payload envelopes == the per-point loop, bytewise."""
-    batch = Engine().simulate_batch(points)
+@given(points=simulate_points())
+def test_explicit_grid_envelopes_byte_identical_to_per_point(points):
+    """Grid payload envelopes == the per-point ``Engine.run`` loop, bytewise."""
+    grid = _simulate_grid(points)
+    result = Engine().run_grid(grid)
     loop_engine = Engine()
-    loop = [loop_engine.run(_batch_point_spec(point)) for point in points]
-    assert [result.to_json() for result in batch.payload] == [
-        result.to_json() for result in loop
+    loop = [loop_engine.run(spec) for spec in grid.specs()]
+    assert [envelope.to_json() for envelope in result.payload] == [
+        envelope.to_json() for envelope in loop
     ]
-    assert batch.data["rows"] == [result.data for result in loop]
-    assert batch.data["points"] == len(points)
+    assert [row["data"] for row in result.data["rows"]] == [
+        envelope.data for envelope in loop
+    ]
+    assert result.data["points"] == len(points)
 
 
-def test_parallel_batch_rows_match_serial():
-    """Pool-served batch rows are identical to the serial serve."""
-    points = [
-        "spectre_v1",
-        {"attack": "meltdown", "defenses": ("PREVENT_SPECULATIVE_LOADS",)},
-        "spectre_v2",
-        "spectre_v1",
-        "lvi",
-        "spectre_rsb",
-    ]
-    serial = Engine().simulate_batch(points)
+_MIXED_POINTS = [
+    ("spectre_v1", ()),
+    ("meltdown", ("PREVENT_SPECULATIVE_LOADS",)),
+    ("spectre_v2", ()),
+    ("spectre_v1", ()),
+    ("lvi", ()),
+    ("spectre_rsb", ()),
+]
+
+
+def test_parallel_explicit_grid_rows_match_serial():
+    """Pool-served rows of a grid with a repeated point equal the serial rows."""
+    grid = _simulate_grid(_MIXED_POINTS)
+    serial = Engine().run_grid(grid)
     with Engine() as engine:
-        parallel = engine.simulate_batch(points, parallel=2)
-    assert parallel.data["rows"] == serial.data["rows"]
-    assert parallel.data["leaking"] == serial.data["leaking"]
-    assert parallel.data["unique_simulations"] == serial.data["unique_simulations"]
+        parallel = engine.run_grid(grid, parallel=2)
+    # Rows carry no cache provenance: a worker computes cold what the serial
+    # run serves warm, and the rows must not tell the difference.
+    assert parallel.data == serial.data
 
 
-def test_batch_point_spec_rejects_malformed_points():
-    with pytest.raises(TypeError):
-        _batch_point_spec(42)
-    with pytest.raises(ValueError):
-        _batch_point_spec({"attack": "spectre_v1", "bogus": 1})
-    with pytest.raises(ValueError):
-        _batch_point_spec({"defenses": ("LFENCE",)})
-
-
-def test_batch_spans_emitted_per_point(tmp_path):
-    """Parallel batch workers emit one ``worker.point`` span per cold point."""
+@pytest.mark.obs
+def test_explicit_grid_spans_emitted_per_point(tmp_path):
+    """Pool workers emit one ``simulate`` ``worker.point`` span per point."""
     from repro.obs.trace import Tracer
 
     trace_file = tmp_path / "trace.jsonl"
+    attacks = ("spectre_v1", "meltdown", "spectre_v2", "lvi")
+    grid = _simulate_grid([(attack, ()) for attack in attacks])
     with Tracer(sink=trace_file) as tracer:
         with Engine(tracer=tracer) as engine:
-            engine.simulate_batch(
-                ["spectre_v1", "meltdown", "spectre_v2", "lvi"], parallel=2
-            )
+            engine.run_grid(grid, parallel=2)
     records = [
         json.loads(line) for line in trace_file.read_text().splitlines() if line
     ]
@@ -317,110 +317,6 @@ def test_batch_spans_emitted_per_point(tmp_path):
     assert all(
         span.get("attrs", {}).get("kind") == "simulate" for span in worker_spans
     )
-
-
-def test_supervised_batch_matches_unsupervised():
-    """Routing batch prewarm through the failure policy changes nothing on a
-    clean run -- same rows, same envelope, supervision is pure insurance."""
-    from repro.engine import FailurePolicy
-
-    points = ["spectre_v1", "meltdown", "spectre_v1", "lvi"]
-    plain = Engine().simulate_batch(points)
-    with Engine(policy=FailurePolicy(timeout=60.0, retries=1)) as engine:
-        supervised = engine.simulate_batch(points, parallel=2)
-    assert supervised.data == plain.data
-    assert supervised.ok == plain.ok
-
-
-def test_supervised_batch_quarantines_a_poisoned_point():
-    """A point that keeps crashing is quarantined, not fatal: the rest of
-    the batch still serves, the envelope flags the failure, and the grid
-    stats carry the retry/quarantine accounting."""
-    from repro.engine import FailurePolicy
-    from repro.faults import FaultPlan, FaultSpec
-
-    plan = FaultPlan(
-        faults=(FaultSpec(kind="exception", match="attack='spectre_rsb'"),),
-        seed=0,
-    )
-    with Engine(
-        policy=FailurePolicy(timeout=60.0, retries=1), faults=plan
-    ) as engine:
-        result = engine.simulate_batch(
-            ["spectre_v1", "spectre_rsb", "meltdown"], parallel=2
-        )
-    assert not result.ok
-    assert result.data["quarantined"] == 1
-    rows = result.data["rows"]
-    assert len(rows) == 3
-    healthy = [row for row in rows if "error" not in row]
-    assert len(healthy) == 2
-    grid = engine.stats()["grid"]
-    assert grid["quarantined"] == 1
-    assert grid["retried"] >= 1
-
-
-def test_unsupervised_batch_counts_in_grid_stats():
-    """Batch shards ride the same grid accounting as every other grid."""
-    engine = Engine()
-    engine.simulate_batch(["spectre_v1", "meltdown"])
-    assert engine.stats()["runs"].get("simulate_batch", 0) == 1
-
-
-# ---------------------------------------------------------------------------
-# Closure backends agree (numpy word chunks vs stdlib big ints)
-# ---------------------------------------------------------------------------
-def _random_dag(rng: random.Random, vertices: int, edges: int):
-    graph = TopologicalSortGraph()
-    for i in range(vertices):
-        graph.add_vertex(f"v{i}")
-    for _ in range(edges):
-        a, b = sorted(rng.sample(range(vertices), 2))
-        graph.add_edge(f"v{a}", f"v{b}")
-    return graph
-
-
-@pytest.mark.skipif(_np is None, reason="numpy not installed")
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=100_000),
-    vertices=st.integers(min_value=2, max_value=130),
-)
-def test_closure_backends_bit_identical(seed, vertices):
-    """numpy and stdlib sweeps build the same closure and racing pairs."""
-    rng = random.Random(seed)
-    graph = _random_dag(rng, vertices, rng.randint(0, 3 * vertices))
-    order = graph.topological_order()
-    graph._rebuild_closure_python(order)
-    anc, desc = list(graph._anc), list(graph._desc)
-    pairs = graph.all_racing_pairs()
-    graph._rebuild_closure_numpy(order)
-    assert graph._anc == anc
-    assert graph._desc == desc
-    assert graph.all_racing_pairs() == pairs
-
-
-@pytest.mark.skipif(_np is None, reason="numpy not installed")
-def test_backend_env_gate(monkeypatch):
-    monkeypatch.setenv("REPRO_TSG_BACKEND", "python")
-    assert closure_backend() == "python"
-    monkeypatch.setenv("REPRO_TSG_BACKEND", "numpy")
-    assert closure_backend() == "numpy"
-    monkeypatch.setenv("REPRO_TSG_BACKEND", "auto")
-    assert closure_backend() == "numpy"
-
-
-def test_remove_edge_keeps_closure_consistent_across_backends(monkeypatch):
-    """``remove_edge`` (the `_rebuild_closure` entry point) is backend-stable."""
-    results = []
-    backends = ["python"] + (["auto"] if _np is not None else [])
-    for backend in backends:
-        monkeypatch.setenv("REPRO_TSG_BACKEND", backend)
-        graph = _random_dag(random.Random(3), 80, 200)
-        victim = graph.edges[0]
-        graph.remove_edge(victim.source, victim.target)
-        results.append((list(graph._anc), list(graph._desc), graph.all_racing_pairs()))
-    assert all(entry == results[0] for entry in results)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,15 @@
 The closure is an *index*: every answer it gives must agree with a from-
 scratch BFS over the adjacency sets.  These tests pin that equivalence on
 random DAGs, including after edge removal (which rebuilds the closure), and
-pin the downset-DP ordering counter against explicit enumeration.
+pin the downset-DP ordering counter against explicit enumeration.  The
+closure properties run on two inputs: small DAGs that hypothesis explores
+edge by edge, and seeded 65-200-vertex DAGs, the size of the analyzer's
+larger programs, where each bitmask spans several machine words.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from itertools import combinations
 
@@ -48,10 +52,38 @@ def random_dags(draw, max_vertices: int = 10):
     return graph
 
 
-@given(random_dags())
+@st.composite
+def large_random_dags(draw):
+    """Seeded 65-200-vertex DAGs: forward edges, 0 to 3 per vertex on average.
+
+    Drawing every edge through hypothesis would dominate the run time at
+    this size, so hypothesis draws the shape (seed, size, density) and a
+    seeded RNG places the edges.
+    """
+    count = draw(st.integers(min_value=65, max_value=200))
+    edges = draw(st.integers(min_value=0, max_value=3 * count))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    graph = TopologicalSortGraph(name="random-large")
+    for i in range(count):
+        graph.add_vertex(f"v{i}")
+    for _ in range(edges):
+        source, target = sorted(rng.sample(range(count), 2))
+        graph.add_edge(f"v{source}", f"v{target}")
+    return graph
+
+
+#: Both DAG inputs of the closure properties, parametrized by size class.
+DAG_SIZES = pytest.mark.parametrize(
+    "dags", [random_dags(), large_random_dags()], ids=["small", "large"]
+)
+
+
+@DAG_SIZES
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_closure_matches_bfs_reachability(graph):
+def test_closure_matches_bfs_reachability(dags, data):
     """has_path / descendants / ancestors must equal BFS answers for all pairs."""
+    graph = data.draw(dags)
     reach = {name: bfs_reachable(graph, name) for name in graph.vertices}
     for source in graph.vertices:
         assert graph.descendants(source) == reach[source]
@@ -63,10 +95,12 @@ def test_closure_matches_bfs_reachability(graph):
         assert graph.ancestors(target) == expected_anc
 
 
-@given(random_dags())
+@DAG_SIZES
+@given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_closure_survives_edge_removal(graph):
+def test_closure_survives_edge_removal(dags, data):
     """Removing an edge rebuilds the closure to match BFS again."""
+    graph = data.draw(dags)
     edges = graph.edges
     if not edges:
         return
@@ -94,10 +128,12 @@ def test_dp_ordering_count_matches_enumeration(graph):
     assert graph.count_orderings(limit=cap) == enumerated
 
 
-@given(random_dags())
+@DAG_SIZES
+@given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_batch_racing_pairs_match_pairwise_check(graph):
+def test_batch_racing_pairs_match_pairwise_check(dags, data):
     """all_racing_pairs must equal the pairwise Theorem 1 check."""
+    graph = data.draw(dags)
     batch = set(map(frozenset, graph.all_racing_pairs()))
     pairwise = {
         frozenset((u, v))

@@ -8,6 +8,11 @@ program-level tool (isa / graphtool), and the executable substrate
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.attacks import get as get_attack
@@ -148,3 +153,26 @@ class TestToolMatchesSimulator:
         """
         meltdown_report = analyze_program(assemble(meltdown_text, name="meltdown"))
         assert meltdown_report.is_meltdown_type == get_attack("meltdown").is_meltdown_type
+
+
+def test_repro_imports_without_numpy():
+    """The library is stdlib-only: importing its entry points loads no numpy.
+
+    Runs in a fresh interpreter, since this test process may already hold
+    numpy through a test dependency.
+    """
+    probe = (
+        "import sys\n"
+        "import repro, repro.engine, repro.fuzz, repro.service.server\n"
+        "assert 'numpy' not in sys.modules, sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'numpy')[:5]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
