@@ -3,8 +3,8 @@
 
 The session model: create one :class:`repro.engine.Engine`, let it own the
 cached artifacts (attack graphs keyed on ``Program.content_hash()``,
-defense evaluations, synthesized graphs) and its process pool, and route
-every analysis through it -- build once, analyze many, shard the sweeps.
+defense evaluations, synthesized graphs), and route every analysis
+through it -- build once, analyze many, sweep from the warm caches.
 
 Run from the repo root::
 
@@ -36,7 +36,7 @@ done:
 def main() -> None:
     program = assemble(LISTING1, name="victim")
 
-    with Engine(parallel=2) as engine:
+    with Engine() as engine:
         # -- 1. Build once, analyze many ---------------------------------
         # The first analyze constructs the attack graph; the second is a
         # content-hash cache hit (same Result data, microseconds).
@@ -60,27 +60,26 @@ def main() -> None:
         print("\nResult envelope (truncated):")
         print(cold.to_json(indent=None)[:120] + "...")
 
-        # -- 3. Shard the defense matrix over the process pool -----------
-        # Rows are sorted by (defense, attack) key, so parallel output is
-        # byte-identical to a serial run.
-        matrix = engine.evaluate_matrix(parallel=2)
+        # -- 3. The defense matrix ----------------------------------------
+        # Rows are sorted by (defense, attack) key; every pair lands in the
+        # session's evaluation cache.
+        matrix = engine.evaluate_matrix()
         print(f"\ndefense matrix: {matrix.subject}, "
               f"{matrix.data['effective']} effective pairings, "
               f"every attack defeated: {matrix.ok}")
 
         # -- 4. Sweep the Section V-A attack space ------------------------
         # Structurally identical (source, delay) combinations share one
-        # graph build; the sweep is sharded across workers.
-        space = engine.synthesize(parallel=2)
+        # graph build.
+        space = engine.synthesize()
         print(f"attack space: {space.data['combinations']} combinations, "
               f"{space.data['published']} published, "
               f"{space.data['novel']} novel, {space.data['leaking']} leaking")
 
-        # A serial sweep fills the session's own verdict cache instead of the
-        # workers' -- structurally identical combinations dedupe to one build.
-        serial = engine.synthesize(parallel=1)
-        assert serial.data == space.data  # byte-identical rows either way
-        print(f"cache stats after serial sweep: "
+        # A second sweep is served from the session's verdict cache.
+        again = engine.synthesize()
+        assert again.data == space.data
+        print(f"cache stats after a second sweep: "
               f"synth_verdicts={engine.stats()['synth_verdicts']}")
 
 

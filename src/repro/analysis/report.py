@@ -19,15 +19,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine import Engine, Result
 
 
-def _attack_section_for_key(key: str) -> str:
-    """Module-level shard worker: render one attack section by registry key.
-
-    Picklable by reference, so :func:`full_report` can fan the per-variant
-    graph builds out over :meth:`Engine.map`.
-    """
-    return attack_section(ALL_VARIANTS[key])
-
-
 def attack_section(variant: AttackVariant) -> str:
     """A Markdown section describing one attack variant and its graph."""
     graph = variant.build_graph()
@@ -473,19 +464,17 @@ def defense_matrix_section(
     attacks: Optional[Sequence[AttackVariant]] = None,
     *,
     engine: Optional["Engine"] = None,
-    parallel: Optional[int] = None,
 ) -> str:
     """A Markdown table of the defense x attack evaluation.
 
-    Rendered from the engine's :class:`~repro.engine.Result` envelope; pass
-    ``parallel`` to shard the matrix over the engine's process pool.
+    Rendered from the engine's :class:`~repro.engine.Result` envelope.
     """
     from ..engine import default_engine
 
     session = engine if engine is not None else default_engine()
     chosen_defenses = list(defenses) if defenses is not None else list(ALL_DEFENSES)
     chosen_attacks = list(attacks) if attacks is not None else variants()
-    result = session.evaluate_matrix(chosen_defenses, chosen_attacks, parallel)
+    result = session.evaluate_matrix(chosen_defenses, chosen_attacks)
     verdict = {(row["defense"], row["attack"]): row for row in result.data["rows"]}
     headers = ["Defense"] + [attack.key for attack in chosen_attacks]
     rows: List[List[str]] = []
@@ -507,13 +496,11 @@ def full_report(
     include_matrix: bool = True,
     *,
     engine: Optional["Engine"] = None,
-    parallel: Optional[int] = None,
 ) -> str:
     """The complete Markdown report.
 
-    The per-attack graph sections and the defense matrix both run on the
-    engine's execution plane; pass ``parallel`` to shard them over the
-    session's process pool (output is byte-identical to a serial run).
+    The defense matrix runs through ``engine`` (the default engine when
+    omitted), so a warm session serves it from its evaluation cache.
     """
     from ..engine import default_engine
 
@@ -548,10 +535,8 @@ def full_report(
         "## Attack graphs",
         "",
     ]
-    for section in session.map(
-        _attack_section_for_key, list(ALL_VARIANTS), parallel=parallel
-    ):
-        sections.append(section)
+    for variant in ALL_VARIANTS.values():
+        sections.append(attack_section(variant))
         sections.append("")
     if include_matrix:
         sections.extend(
@@ -559,7 +544,7 @@ def full_report(
                 "## Defense x attack evaluation",
                 "",
                 "```",
-                defense_matrix_section(engine=session, parallel=parallel),
+                defense_matrix_section(engine=session),
                 "```",
                 "",
             ]

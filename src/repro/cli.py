@@ -207,9 +207,10 @@ def _cmd_exploit(args: argparse.Namespace) -> int:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    result = _session(args).ablation(
-        args.name, secret=args.secret, parallel=args.parallel
-    )
+    try:
+        result = _session(args).ablation(args.name, secret=args.secret)
+    except KeyError as exc:
+        raise _unknown_key(exc) from None
     if args.json:
         print(result.to_json())
         return 0 if result.ok else 1
@@ -261,7 +262,7 @@ def _simulate_spec(args: argparse.Namespace) -> ScenarioSpec:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = _simulate_spec(args)
     try:
-        result = _session(args).run(spec, parallel=args.parallel)
+        result = _session(args).run(spec)
     except KeyError as exc:
         raise _unknown_key(exc) from None
     if args.json:
@@ -734,8 +735,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablation_parser.add_argument("name", help=f"one of: {', '.join(sorted(EXPLOITS))}")
     ablation_parser.add_argument("--secret", type=lambda v: int(v, 0), default=0x5A)
-    ablation_parser.add_argument("--parallel", type=int, default=None,
-                                 help="shard the per-defense runs over N workers")
     ablation_parser.add_argument("--json", action="store_true",
                                  help="emit the engine Result envelope as JSON")
     ablation_parser.set_defaults(handler=_cmd_ablation)
@@ -764,8 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument("--contended", action="store_true",
                                  help="use the contended timing model "
                                       "(bounded FU ports and CDB width)")
-    simulate_parser.add_argument("--parallel", type=int, default=None,
-                                 help="shard the sweep/validation/ablation over N workers")
     simulate_parser.add_argument("--json", action="store_true",
                                  help="emit the engine Result envelope as JSON")
     simulate_parser.set_defaults(handler=_cmd_simulate)

@@ -248,18 +248,15 @@ def evaluate_defense(
 def evaluate_matrix(
     defenses: Sequence[Defense],
     variants: Sequence[AttackVariant],
-    parallel: Optional[int] = None,
 ) -> List[DefenseEvaluation]:
     """Evaluate every defense against every attack variant.
 
     Thin wrapper over :meth:`repro.engine.Engine.evaluate_matrix`: rows are
-    sorted by ``(defense key, attack key)`` and, with ``parallel`` > 1,
-    sharded over the engine's process pool -- parallel output is
-    byte-identical to serial output.
+    sorted by ``(defense key, attack key)``.
     """
     from ..engine import default_engine
 
-    return default_engine().evaluate_matrix(defenses, variants, parallel).payload
+    return default_engine().evaluate_matrix(defenses, variants).payload
 
 
 # ----------------------------------------------------------------------

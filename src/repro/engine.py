@@ -18,9 +18,11 @@ spine:
   ``~/.cache/repro/``); after executing, the envelope is persisted back.
 * :meth:`Engine.run_grid` takes a :class:`~repro.scenario.ScenarioGrid`
   (cartesian axes over a base spec, or an explicit point list), serves warm
-  points from the store, shards the misses over :meth:`Engine.map`'s
-  process pool, and aggregates one envelope.  A new sweep axis is one
-  ``axes`` entry -- not one new Engine method.
+  points from the store, shards the misses over the session's process
+  pool, and aggregates one envelope.  A new sweep axis is one ``axes``
+  entry -- not one new Engine method.  Grids are the only work that
+  crosses a process boundary: composite kinds (``matrix``, ``synthesize``,
+  ``simulate_sweep``, ...) run in-process on the session caches.
 
 Beneath the spec layer the session keeps its **content-addressed artifact
 caches** (:meth:`build` / :meth:`analyze` keyed on
@@ -235,75 +237,13 @@ def _error_envelope(
 
 
 # ---------------------------------------------------------------------------
-# Process-pool shard workers (module-level so they pickle by reference)
+# Grid pool workers (module-level so they pickle by reference).  Grid
+# points are the only work that crosses a process boundary.
 # ---------------------------------------------------------------------------
 #: A picklable (root, version, max_entries) reference to a DiskStore (or
 #: ``None``).  Call sites bind it once per shard with ``functools.partial``
 #: so worker engines join the same persistent cache as the parent session.
 StoreRef = Optional[Tuple[str, str, Optional[int]]]
-
-
-def _synth_shard_worker(
-    ref: StoreRef, keys: Sequence[Tuple[str, str, str]]
-) -> List[Dict[str, object]]:
-    """Compute sweep rows for one shard of the attack space.
-
-    Each worker builds its own serial ``Engine`` so structurally identical
-    combinations within the shard share one graph build and leak check.
-    """
-    engine = Engine(store=store_from_ref(ref))
-    return [
-        engine._synth_row(
-            SynthesizedAttack(SecretSource[s], DelayMechanism[d], CovertChannelKind[c])
-        )
-        for s, d, c in keys
-    ]
-
-
-def _matrix_shard_worker(
-    ref: StoreRef, pairs: Sequence[Tuple[Defense, AttackVariant]]
-) -> List["DefenseEvaluation"]:
-    engine = Engine(store=store_from_ref(ref))
-    return [engine.evaluate(defense, variant).payload for defense, variant in pairs]
-
-
-def _novel_shard_worker(
-    keys: Sequence[Tuple[str, str, str]]
-) -> List[Tuple[str, str, str]]:
-    published = published_keys()
-    return [key for key in keys if key not in published]
-
-
-def _exploit_shard_worker(
-    items: Sequence[Tuple[str, object, int]]
-) -> List["ExploitResult"]:
-    from .exploits.harness import EXPLOITS
-    from .uarch.config import DEFAULT_CONFIG
-
-    results = []
-    for name, config, secret in items:
-        runner = EXPLOITS[name]
-        results.append(runner(config if config is not None else DEFAULT_CONFIG, secret))
-    return results
-
-
-def _simulate_shard_worker(
-    ref: StoreRef,
-    items: Sequence[Tuple[str, Tuple[str, ...], Optional[int], "TimingModel"]],
-) -> List["ExploitResult"]:
-    """Run timing simulations for one shard of a sweep or window ablation."""
-    from .uarch.defenses import SimDefense
-
-    engine = Engine(store=store_from_ref(ref))
-    return [
-        engine.simulate(
-            attack,
-            defenses=[SimDefense[name] for name in defense_names],
-            secret=secret,
-            model=model,
-        ).payload
-        for attack, defense_names, secret, model in items
-    ]
 
 
 def _decode_simulate_point(spec: ScenarioSpec) -> Tuple:
@@ -432,17 +372,6 @@ DEFAULT_PORT_CONFIGS: Tuple[Tuple[str, Dict[str, Optional[int]]], ...] = (
 )
 
 
-#: Per-(source, delay) structural verdict fields shared across channel twins.
-_VERDICT_FIELDS = (
-    "leaks",
-    "vulnerabilities",
-    "racing_pairs",
-    "vertices",
-    "edges",
-    "meltdown_type",
-)
-
-
 def _picklable(payload: object) -> bool:
     """Probe whether work can cross the process boundary.
 
@@ -497,8 +426,9 @@ def _shards(items: List[T], count: int) -> List[List[T]]:
 class Engine:
     """Stateful session facade: declare the scenario, the engine runs it.
 
-    ``parallel`` sets the default worker count for grid execution; every
-    grid method also accepts a per-call ``parallel=`` override.
+    ``parallel`` sets the default worker count for grid execution; the grid
+    entry points (:meth:`run`, :meth:`run_grid`, :meth:`iter_grid`,
+    :meth:`run_fuzz_campaign`) also accept a per-call ``parallel=`` override.
     ``parallel=None`` (or 1) means deterministic serial execution
     in-process.
 
@@ -922,30 +852,8 @@ class Engine:
             self._shutdown_pool()
             return [fn(item) for item in work]
 
-    def _run_sharded(
-        self,
-        worker: Callable[[List[T]], List[R]],
-        items: List[T],
-        parallel: Optional[int],
-    ) -> List[R]:
-        """Run ``worker`` over contiguous shards of ``items``, concatenated in order."""
-        workers = self._workers(parallel)
-        if workers <= 1 or len(items) <= 1:
-            return worker(items)
-        shards = _shards(items, workers)
-        pool = self._try_pool(workers)
-        if pool is None or not _picklable((worker, items)):
-            return worker(items)
-        try:
-            futures = [pool.submit(worker, shard) for shard in shards]
-            gathered = [future.result() for future in futures]
-        except (BrokenExecutor, PicklingError):
-            self._shutdown_pool()
-            return worker(items)
-        return [row for shard_rows in gathered for row in shard_rows]
-
     # ======================================================================
-    # The run-plan spine: one cached, sharded executor for every spec kind
+    # The run-plan spine: one cached executor for every spec kind
     # ======================================================================
     def run(
         self,
@@ -957,11 +865,12 @@ class Engine:
 
         The spec's content hash is checked against the session's artifact
         store first (a hit is returned as a ``warm`` envelope without
-        executing anything); on a miss the kind's executor runs -- through
-        the in-memory artifact caches and, for grid kinds, sharded over
-        :meth:`Engine.map` -- and the envelope is persisted back.
-        ``parallel`` is an execution detail, not part of the scenario's
-        identity: serial and sharded runs share one cache entry.
+        executing anything); on a miss the kind's executor runs through the
+        in-memory artifact caches and the envelope is persisted back.
+        ``parallel`` only fans out grids (and the grids a fuzz campaign
+        drives); composite kinds always run in-process.  It is an execution
+        detail, not part of the scenario's identity: serial and sharded runs
+        share one cache entry.
         """
         if isinstance(spec, ScenarioGrid):
             return self.run_grid(spec, parallel=parallel)
@@ -1530,21 +1439,19 @@ class Engine:
         self,
         defenses: Optional[Sequence[Defense]] = None,
         variants: Optional[Sequence[AttackVariant]] = None,
-        parallel: Optional[int] = None,
     ) -> Result:
-        """Evaluate every defense against every variant, sharded over the pool.
+        """Evaluate every defense against every variant, in-process.
 
         Deprecated spelling of ``run(ScenarioSpec("matrix", ...))``.  Rows
-        are sorted by ``(defense key, attack key)`` so serial and parallel
-        runs produce byte-identical output.
+        are sorted by ``(defense key, attack key)``; every pair goes through
+        the session's evaluation cache.
         """
         return self.run(
             ScenarioSpec(
                 "matrix",
                 defenses=tuple(defenses) if defenses is not None else None,
                 attacks=tuple(variants) if variants is not None else None,
-            ),
-            parallel=parallel,
+            )
         )
 
     def _run_matrix(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
@@ -1571,27 +1478,9 @@ class Engine:
             ),
             key=lambda pair: (pair[0].key, pair[1].key),
         )
-        workers = self._workers(parallel)
-        if workers <= 1:
-            # Serial path goes through the session's evaluation cache.
-            evaluations = [
-                self.evaluate(defense, variant).payload for defense, variant in pairs
-            ]
-        else:
-            # Warm pairs are served from the session cache; only the misses
-            # are sharded out.  Worker results are absorbed back into the
-            # cache, so a repeated sweep is all-local dict hits.
-            ref = store_ref(self.store)
-            misses = [pair for pair in pairs if pair not in self._evaluations]
-            computed = self._run_sharded(
-                partial(_matrix_shard_worker, ref), misses, workers
-            )
-            for pair, evaluation in zip(misses, computed):
-                if pair not in self._evaluations:
-                    self._store(self._evaluations, pair, evaluation)
-            evaluations = [
-                self.evaluate(defense, variant).payload for defense, variant in pairs
-            ]
+        evaluations = [
+            self.evaluate(defense, variant).payload for defense, variant in pairs
+        ]
         rows = [_evaluation_row(evaluation) for evaluation in evaluations]
         defeated: Dict[str, bool] = {}
         for evaluation in evaluations:
@@ -1667,13 +1556,12 @@ class Engine:
         sources: Optional[Sequence[SecretSource]] = None,
         delays: Optional[Sequence[DelayMechanism]] = None,
         channels: Optional[Sequence[CovertChannelKind]] = None,
-        parallel: Optional[int] = None,
     ) -> Result:
-        """Sweep the (restricted) attack space, sharded over the pool.
+        """Sweep the (restricted) attack space, in-process.
 
         Deprecated spelling of ``run(ScenarioSpec("synthesize", ...))``.
-        Rows come back sorted by ``(source, delay, channel)`` key so parallel
-        output is byte-identical to serial output.
+        Rows come back sorted by ``(source, delay, channel)`` key; channel
+        twins share one structural verdict through the session cache.
         """
         return self.run(
             ScenarioSpec(
@@ -1681,8 +1569,7 @@ class Engine:
                 sources=tuple(sources) if sources is not None else None,
                 delays=tuple(delays) if delays is not None else None,
                 channels=tuple(channels) if channels is not None else None,
-            ),
-            parallel=parallel,
+            )
         )
 
     def _run_synthesize(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
@@ -1692,32 +1579,6 @@ class Engine:
         attacks = sorted(
             enumerate_attack_space(sources, delays, channels), key=lambda a: a.key
         )
-        workers = self._workers(parallel)
-        if workers > 1:
-            # Shard one representative per structurally distinct (source,
-            # delay) pair that the session has not analysed yet; the workers'
-            # verdicts are absorbed into the cache, and every row (including
-            # channel twins) is then served locally.
-            missing: Dict[Tuple[str, str], SynthesizedAttack] = {}
-            for attack in attacks:
-                structural = (attack.secret_source.name, attack.delay_mechanism.name)
-                if structural not in self._synth_verdicts and structural not in missing:
-                    missing[structural] = attack
-            if missing:
-                ref = store_ref(self.store)
-                computed = self._run_sharded(
-                    partial(_synth_shard_worker, ref),
-                    [attack.key for attack in missing.values()],
-                    workers,
-                )
-                for row in computed:
-                    structural = (row["source"], row["delay"])
-                    if structural not in self._synth_verdicts:
-                        self._store(
-                            self._synth_verdicts,
-                            structural,
-                            {name: row[name] for name in _VERDICT_FIELDS},
-                        )
         rows = [self._synth_row(attack) for attack in attacks]
         data = {
             "combinations": len(rows),
@@ -1740,15 +1601,13 @@ class Engine:
         sources: Optional[Sequence[SecretSource]] = None,
         delays: Optional[Sequence[DelayMechanism]] = None,
         channels: Optional[Sequence[CovertChannelKind]] = None,
-        parallel: Optional[int] = None,
     ) -> List[SynthesizedAttack]:
-        """Unpublished combinations, key-sorted, sharded over the pool."""
+        """Unpublished combinations, key-sorted."""
         attacks = sorted(
             enumerate_attack_space(sources, delays, channels), key=lambda a: a.key
         )
-        keys = [attack.key for attack in attacks]
-        novel = set(self._run_sharded(_novel_shard_worker, keys, parallel))
-        return [attack for attack in attacks if attack.key in novel]
+        published = published_keys()
+        return [attack for attack in attacks if attack.key not in published]
 
     # -- end-to-end exploits -------------------------------------------------
     def exploit(
@@ -1796,9 +1655,8 @@ class Engine:
         names: Optional[Sequence[str]] = None,
         config: Optional[object] = None,
         secret: Optional[int] = None,
-        parallel: Optional[int] = None,
     ) -> Result:
-        """Run a set of exploits (all by default), sharded over the pool.
+        """Run a set of exploits (all by default), in-process.
 
         Deprecated spelling of ``run(ScenarioSpec("exploit_suite", ...))``.
         """
@@ -1808,12 +1666,12 @@ class Engine:
                 exploits=tuple(names) if names is not None else None,
                 config=config,
                 secret=secret,
-            ),
-            parallel=parallel,
+            )
         )
 
     def _run_exploit_suite(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
         from .exploits.harness import DEFAULT_SECRET, EXPLOITS
+        from .uarch.config import DEFAULT_CONFIG
 
         names = spec.get("exploits")
         chosen = list(names) if names is not None else list(EXPLOITS)
@@ -1822,8 +1680,11 @@ class Engine:
         secret = decode_secret(spec.get("secret"))
         planted = DEFAULT_SECRET if secret is None else secret
         config = decode_config(spec.get("config"))
-        items = [(name, config, planted) for name in chosen]
-        results = self._run_sharded(_exploit_shard_worker, items, parallel)
+        run_config = config if config is not None else DEFAULT_CONFIG
+        # The exploits run directly, not as cached ``exploit`` points: a
+        # suite is one envelope and one store entry, however many exploits
+        # it holds.
+        results = [EXPLOITS[name](run_config, planted) for name in chosen]
         by_name = dict(zip(chosen, results))
         data = {
             "exploits": len(chosen),
@@ -1905,19 +1766,17 @@ class Engine:
         attacks: Optional[Sequence[str]] = None,
         defenses: Optional[Sequence[Optional["SimDefense"]]] = None,
         secret: Optional[int] = None,
-        parallel: Optional[int] = None,
         model: Optional["TimingModel"] = None,
     ) -> Result:
-        """Sweep (attack x defense) timing simulations, sharded over the pool.
+        """Sweep (attack x defense) timing simulations, in-process.
 
         Deprecated spelling of ``run(ScenarioSpec("simulate_sweep", ...))``.
 
         ``defenses`` defaults to the undefended baseline plus every simulator
         defense.  ``model`` selects the timing-plane configuration for every
         run (e.g. the contended reference core).  Rows are sorted by (attack,
-        defense) key, warm entries are served from the session cache and
-        worker results are absorbed back into it, mirroring
-        :meth:`evaluate_matrix`.
+        defense) key and every run goes through the session's simulation
+        cache, mirroring :meth:`evaluate_matrix`.
         """
         return self.run(
             ScenarioSpec(
@@ -1926,12 +1785,10 @@ class Engine:
                 defenses=tuple(defenses) if defenses is not None else None,
                 secret=secret,
                 model=model,
-            ),
-            parallel=parallel,
+            )
         )
 
     def _run_simulate_sweep(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
-        from .uarch.config import DEFAULT_CONFIG
         from .uarch.defenses import SimDefense
         from .uarch.timing.scheduler import DEFAULT_MODEL
         from .uarch.timing.validate import SCENARIOS
@@ -1958,29 +1815,6 @@ class Engine:
             ),
             key=lambda combo: (combo[0], combo[1]),
         )
-        workers = self._workers(parallel)
-        if workers > 1:
-            ref = store_ref(self.store)
-            misses = []
-            for attack, defense_names in combos:
-                run_config = DEFAULT_CONFIG.with_defenses(
-                    *(SimDefense[name] for name in defense_names)
-                )
-                key = (SCENARIOS.get(attack, attack), run_config, secret, run_model)
-                if key not in self._simulations:
-                    misses.append((attack, defense_names, secret, run_model))
-            computed = self._run_sharded(
-                partial(_simulate_shard_worker, ref), misses, workers
-            )
-            for (attack, defense_names, miss_secret, miss_model), result in zip(
-                misses, computed
-            ):
-                run_config = DEFAULT_CONFIG.with_defenses(
-                    *(SimDefense[name] for name in defense_names)
-                )
-                key = (SCENARIOS.get(attack, attack), run_config, miss_secret, miss_model)
-                if key not in self._simulations:
-                    self._store(self._simulations, key, result)
         rows = [
             self.simulate(
                 attack,
@@ -2161,7 +1995,6 @@ class Engine:
 
     def validate_timing(
         self,
-        parallel: Optional[int] = None,
         model: Optional["TimingModel"] = None,
         attacks: Optional[Sequence[str]] = None,
     ) -> Result:
@@ -2178,8 +2011,7 @@ class Engine:
                 "validate_timing",
                 model=model,
                 attacks=tuple(attacks) if attacks is not None else None,
-            ),
-            parallel=parallel,
+            )
         )
 
     def _run_validate_timing(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
@@ -2188,10 +2020,7 @@ class Engine:
         model = decode_model(spec.get("model"))
         attacks = spec.get("attacks")
         checks = cross_validate(
-            list(attacks) if attacks is not None else None,
-            engine=self,
-            parallel=parallel,
-            model=model,
+            list(attacks) if attacks is not None else None, model=model
         )
         data = {
             "attacks": len(checks),
@@ -2216,7 +2045,6 @@ class Engine:
         window_grid: Optional[Sequence[Tuple[int, int]]] = None,
         port_configs: Optional[Sequence[Tuple[str, Dict[str, Optional[int]]]]] = None,
         secret: Optional[int] = None,
-        parallel: Optional[int] = None,
     ) -> Result:
         """The paper's window-length ablation, in measured cycles.
 
@@ -2227,9 +2055,8 @@ class Engine:
         and reports the measured speculation-window length, the transmit /
         squash race and the port/CDB stall provenance of each run.  Runs ride
         the :meth:`simulate` content-hash cache (attack x config x secret x
-        model), misses are sharded over :meth:`Engine.map`'s execution plane,
-        and rows come back sorted by (attack, ROB, RS, ports) so parallel
-        output is byte-identical to serial output.
+        model), so aliased attacks share one run, and rows come back sorted
+        by (attack, ROB, RS, ports).
 
         Each port configuration also carries a :class:`~repro.channels.
         contention.ContentionChannel` transmission: under a bounded
@@ -2253,8 +2080,7 @@ class Engine:
                     else None
                 ),
                 secret=secret,
-            ),
-            parallel=parallel,
+            )
         )
 
     def _run_window_ablation(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
@@ -2265,7 +2091,6 @@ class Engine:
             PortContentionSurface,
             WIDE_WINDOW_MODEL,
         )
-        from .uarch.config import DEFAULT_CONFIG
         from .uarch.timing.scheduler import DEFAULT_MODEL
         from .uarch.timing.validate import SCENARIOS
 
@@ -2292,26 +2117,6 @@ class Engine:
             for label, overrides in configs
         ]
         combos.sort(key=lambda combo: combo[:4])
-        workers = self._workers(parallel)
-        if workers > 1:
-            # Aliased registry attacks (the MDS siblings, the Foreshadow
-            # deployments, ...) share one scenario and therefore one cache
-            # key -- ship each missing key to the pool once, not per alias.
-            ref = store_ref(self.store)
-            misses = []
-            queued = set()
-            for attack, _, _, _, model in combos:
-                key = (SCENARIOS.get(attack, attack), DEFAULT_CONFIG, secret, model)
-                if key not in self._simulations and key not in queued:
-                    queued.add(key)
-                    misses.append((attack, (), secret, model))
-            computed = self._run_sharded(
-                partial(_simulate_shard_worker, ref), misses, workers
-            )
-            for (attack, _, miss_secret, model), result in zip(misses, computed):
-                key = (SCENARIOS.get(attack, attack), DEFAULT_CONFIG, miss_secret, model)
-                if key not in self._simulations:
-                    self._store(self._simulations, key, result)
         rows: List[Dict[str, object]] = []
         for attack, rob, rs, label, model in combos:
             result = self.simulate(attack, model=model, secret=secret)
@@ -2421,13 +2226,12 @@ class Engine:
         defenses: Optional[Sequence["SimDefense"]] = None,
         secret: Optional[int] = None,
         config: Optional["UarchConfig"] = None,
-        parallel: Optional[int] = None,
     ) -> Result:
         """Run one exploit with no defense, then under each simulator defense.
 
         Deprecated spelling of ``run(ScenarioSpec("ablation", attack=...))``.
-        The per-defense runs expand to an explicit exploit grid sharded over
-        :meth:`Engine.map`, like every other grid in the engine.
+        The per-defense runs expand to an explicit exploit grid, run
+        serially in-process.
         """
         return self.run(
             ScenarioSpec(
@@ -2436,8 +2240,7 @@ class Engine:
                 defenses=tuple(defenses) if defenses is not None else None,
                 secret=secret,
                 config=config,
-            ),
-            parallel=parallel,
+            )
         )
 
     def _run_ablation(self, spec: ScenarioSpec, parallel: Optional[int]) -> Result:
@@ -2461,7 +2264,7 @@ class Engine:
             else list(SimDefense)
         )
         # The undefended baseline followed by one point per defense, in
-        # caller order -- an explicit grid sharded over the execution plane.
+        # caller order -- an explicit grid, kept off the session pool.
         points = [
             ScenarioSpec("exploit", exploit=attack, secret=planted, config=base)
         ] + [
@@ -2473,7 +2276,7 @@ class Engine:
             )
             for defense in selected
         ]
-        grid_result = self.run_grid(ScenarioGrid.explicit(points), parallel=parallel)
+        grid_result = self.run_grid(ScenarioGrid.explicit(points), parallel=1)
         leaks = [bool(point.data["success"]) for point in grid_result.payload]
         rows = [AblationRow(attack, None, leaks[0])] + [
             AblationRow(attack, defense, leaked)

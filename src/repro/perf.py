@@ -7,7 +7,7 @@ Measures the hot analyses the repo's upper layers bottom out in:
   comparing the bitset-closure fast paths against the seed's BFS-per-query
   baseline (PR 1),
 * the :class:`repro.engine.Engine` session API (PR 2): warm-cache
-  ``analyze`` against a cold attack-graph build, and the sharded
+  ``analyze`` against a cold attack-graph build, and the engine's
   attack-space sweep against the per-combination free-function baseline, and
 * the event-driven OoO timing scheduler (PR 3): the heap-based wakeup engine
   against the naive every-instruction-per-cycle rescan baseline on a
@@ -199,7 +199,7 @@ def measure_graph(
 
 
 # ----------------------------------------------------------------------
-# Engine benchmarks (PR 2): warm-cache analyze, sharded attack space
+# Engine benchmarks: warm-cache analyze, engine attack space
 # ----------------------------------------------------------------------
 def build_analysis_program(gadgets: int = 8):
     """A synthetic victim: ``gadgets`` independent Listing-1 style gadgets.
@@ -491,44 +491,28 @@ def _legacy_attack_space_rows() -> List[Tuple]:
     return rows
 
 
-def measure_engine_attack_space(workers: int = 2, repeats: int = 3) -> Dict[str, object]:
-    """Serial free-function sweep vs the engine's sharded attack-space sweep.
+def measure_engine_attack_space(repeats: int = 3) -> Dict[str, object]:
+    """Serial free-function sweep vs the engine's attack-space sweep.
 
-    The engine wins twice over: structurally identical ``(source, delay)``
+    The engine wins because structurally identical ``(source, delay)``
     combinations share one graph build + leak analysis via the verdict
-    cache, and the remaining work is sharded over the session's process
-    pool.  The serial baseline is the pre-engine per-combination sweep.
+    cache.  The baseline is the pre-engine per-combination sweep; each
+    engine repeat runs on a fresh (cold) session.  The record keeps its
+    historical ``engine-attack-space-sharded`` name so the trajectory in
+    ``BENCH_core.json`` stays one series.
     """
     from .engine import Engine
 
     legacy_seconds, legacy_rows = _best_of(_legacy_attack_space_rows, repeats)
     serial_seconds, serial_result = _best_of(lambda: Engine().synthesize(), repeats)
-    with Engine() as engine:
-        engine.map(abs, [-1, 1], parallel=workers)  # spin up the session pool
-
-        def sharded_cold_sweep():
-            # Drop the session's synth caches so every repeat measures a
-            # cold sharded sweep (with a warm pool), not a cache replay.
-            engine.invalidate("synth_verdicts")
-            engine.invalidate("synth_graphs")
-            return engine.synthesize(parallel=workers)
-
-        sharded_seconds, sharded_result = _best_of(sharded_cold_sweep, repeats)
-    if sharded_result.data != serial_result.data:
-        raise RuntimeError("sharded attack-space sweep diverged from serial")
     legacy_leaks = sum(1 for row in legacy_rows if row[2])
-    if legacy_leaks != sharded_result.data["leaking"]:
+    if legacy_leaks != serial_result.data["leaking"]:
         raise RuntimeError("engine sweep diverged from the legacy baseline")
     return {
         "benchmark": "engine-attack-space-sharded",
-        "combinations": sharded_result.data["combinations"],
-        "workers": workers,
+        "combinations": serial_result.data["combinations"],
         "serial_seconds": legacy_seconds,
         "engine_serial_seconds": serial_seconds,
-        "engine_sharded_seconds": sharded_seconds,
-        "speedup_sharded_vs_serial": (
-            legacy_seconds / sharded_seconds if sharded_seconds > 0 else float("inf")
-        ),
         "speedup_engine_serial_vs_serial": (
             legacy_seconds / serial_seconds if serial_seconds > 0 else float("inf")
         ),
@@ -667,7 +651,6 @@ def run_perf_suite(
     baseline_pair_budget: int = 4000,
     repeats: int = 3,
     include_engine: bool = True,
-    engine_workers: int = 2,
     include_timing: bool = True,
     timing_instructions: int = 500,
 ) -> Dict[str, object]:
@@ -690,7 +673,7 @@ def run_perf_suite(
     if include_engine:
         run["engine_results"] = [
             measure_engine_analyze(repeats=repeats),
-            measure_engine_attack_space(workers=engine_workers, repeats=repeats),
+            measure_engine_attack_space(repeats=repeats),
             measure_disk_store(repeats=repeats),
             measure_grid_resume(repeats=min(repeats, 2)),
             measure_service_throughput(),
@@ -738,7 +721,9 @@ def append_run(path: str, run: Dict[str, object]) -> Dict[str, object]:
 THRESHOLDS = {
     "all_pairs_speedup_min": 10.0,  # closure vs seed BFS, every graph size
     "warm_analyze_speedup_min": 5.0,  # warm Engine.analyze vs cold build
-    "sharded_sweep_speedup_min": 1.0,  # sharded sweep not slower than serial
+    # The engine attack-space sweep must not be slower than the
+    # per-combination free-function loop it replaced.
+    "engine_sweep_speedup_min": 1.0,
     # A warm DiskStore hit in a fresh process/session must beat recomputing
     # the spec by a wide margin -- the point of the persistent artifact cache.
     "disk_warm_speedup_min": 5.0,
@@ -829,11 +814,11 @@ def check_thresholds(trajectory: Dict[str, object]) -> List[str]:
                         f"below the {THRESHOLDS['warm_analyze_speedup_min']:.0f}x floor"
                     )
             elif record["benchmark"] == "engine-attack-space-sharded":
-                speedup = record["speedup_sharded_vs_serial"]
-                if speedup < THRESHOLDS["sharded_sweep_speedup_min"]:
+                speedup = record["speedup_engine_serial_vs_serial"]
+                if speedup < THRESHOLDS["engine_sweep_speedup_min"]:
                     failures.append(
-                        f"sharded attack-space sweep {speedup:.2f}x: slower than "
-                        "the serial free-function baseline"
+                        f"engine attack-space sweep {speedup:.2f}x: slower than "
+                        "the per-combination free-function baseline"
                     )
             elif record["benchmark"] == "engine-disk-warm-run":
                 disk_seen = True
@@ -981,13 +966,13 @@ def threshold_report(trajectory: Dict[str, object]) -> List[Dict[str, object]]:
     add("warm Engine.analyze speedup",
         f">= {THRESHOLDS['warm_analyze_speedup_min']:.0f}x",
         warm, warm is not None and warm >= THRESHOLDS["warm_analyze_speedup_min"])
-    sharded = records.get(
+    sweep = records.get(
         "engine-attack-space-sharded", {}
-    ).get("speedup_sharded_vs_serial")
-    add("sharded attack-space sweep vs serial",
-        f">= {THRESHOLDS['sharded_sweep_speedup_min']:.0f}x",
-        sharded,
-        sharded is not None and sharded >= THRESHOLDS["sharded_sweep_speedup_min"],
+    ).get("speedup_engine_serial_vs_serial")
+    add("engine attack-space sweep vs free-function loop",
+        f">= {THRESHOLDS['engine_sweep_speedup_min']:.0f}x",
+        sweep,
+        sweep is not None and sweep >= THRESHOLDS["engine_sweep_speedup_min"],
         fmt="{:.2f}x")
     disk = records.get("engine-disk-warm-run", {}).get("speedup_warm_disk")
     add("warm DiskStore run vs cold",
@@ -1217,10 +1202,10 @@ def format_engine_records(run: Dict[str, object]) -> List[str]:
             )
         elif record["benchmark"] == "engine-attack-space-sharded":
             lines.append(
-                f"attack space ({record['combinations']} combos): serial sweep "
-                f"{record['serial_seconds'] * 1e3:.1f} ms vs engine sharded "
-                f"(x{record['workers']}) {record['engine_sharded_seconds'] * 1e3:.1f} ms "
-                f"-> {record['speedup_sharded_vs_serial']:.1f}x"
+                f"attack space ({record['combinations']} combos): free-function "
+                f"sweep {record['serial_seconds'] * 1e3:.1f} ms vs engine "
+                f"{record['engine_serial_seconds'] * 1e3:.1f} ms "
+                f"-> {record['speedup_engine_serial_vs_serial']:.1f}x"
             )
         elif record["benchmark"] == "engine-disk-warm-run":
             lines.append(

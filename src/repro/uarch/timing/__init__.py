@@ -70,8 +70,8 @@ Entry points
 :class:`TimingCPU` is a drop-in :class:`SpeculativeCPU` (same harness
 helpers, same exploit corpus) whose :meth:`run` returns a
 :class:`TimingResult` carrying the :class:`TimingTrace`.
-``Engine.simulate`` / ``repro simulate`` expose it with content-hash caching
-and sharded (attack x defense) sweeps.
+``Engine.simulate`` / ``repro simulate`` expose it with content-hash caching,
+one point at a time or as (attack x defense) sweeps.
 """
 
 from .core import SCHEDULERS, TimingCPU, TimingResult

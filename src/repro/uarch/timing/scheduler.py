@@ -104,6 +104,12 @@ class TimingModel:
     cdb_width: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # A zero width never dispatches or retires (the scheduler spins
+        # forever); a zero-entry ROB or RS never admits an op.
+        for name in ("dispatch_width", "commit_width", "rob_size", "rs_entries"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         for name in (*_PORT_FIELDS.values(), "cdb_width"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -31,7 +31,6 @@ from .core import TimingCPU
 from .trace import TimingTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ...engine import Engine
     from .scheduler import TimingModel
 
 #: Registry key -> end-to-end exploit that reproduces its timing race.
@@ -153,30 +152,22 @@ def check_attack(
 def cross_validate(
     attacks: Optional[Sequence[str]] = None,
     *,
-    engine: Optional["Engine"] = None,
-    parallel: Optional[int] = None,
     model: Optional["TimingModel"] = None,
 ) -> List[RaceCheck]:
     """Theorem-1 cross-check for every attack in the registry (or a subset).
 
-    With an engine session the per-attack checks are sharded over
-    :meth:`Engine.map`; rows come back in registry order either way.
-    ``model`` selects the timing-plane configuration (e.g.
+    Rows come back in registry order.  ``model`` selects the timing-plane
+    configuration (e.g.
     :data:`~repro.uarch.timing.scheduler.CONTENDED_MODEL` to validate the
     race under port/CDB contention).
     """
-    from functools import partial
-
     from ...attacks.registry import keys
 
     chosen = list(attacks) if attacks is not None else keys()
     unknown = [key for key in chosen if key not in SCENARIOS]
     if unknown:
         raise KeyError(f"no timing scenario for attacks: {', '.join(sorted(unknown))}")
-    checker = check_attack if model is None else partial(check_attack, model=model)
-    if engine is not None:
-        return engine.map(checker, chosen, parallel=parallel)
-    return [checker(key) for key in chosen]
+    return [check_attack(key, model=model) for key in chosen]
 
 
 def validation_report(checks: Sequence[RaceCheck]) -> str:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,7 @@ class TestCommands:
         ["evaluate", "nosuch", "spectre_v1"],
         ["evaluate", "lfence", "nosuch"],
         ["simulate", "nosuch"],
+        ["ablation", "nosuch"],
     ])
     def test_unknown_catalog_key_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -256,6 +261,17 @@ class TestSimulateCommand:
         with pytest.raises(SystemExit):
             main(["simulate", "spectre_v1", "--defense", "tinfoil_hat"])
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--sweep", "--parallel", "2"],
+        ["ablation", "spectre_v1", "--parallel", "2"],
+    ])
+    def test_composite_commands_take_no_parallel_flag(self, argv):
+        # Only grids fan out; `repro run --axis ... --parallel N` is the
+        # parallel spelling of a sweep.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
     @pytest.mark.slow
     def test_simulate_sweep_table(self, capsys):
         assert main(["simulate", "--sweep"]) == 0
@@ -327,7 +343,7 @@ class TestPerfCheck:
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 1.0},
                     {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 0.5},
+                     "speedup_engine_serial_vs_serial": 0.5},
                     {"benchmark": "engine-disk-warm-run",
                      "speedup_warm_disk": 2.0},
                     {"benchmark": "grid-resume-overhead", "points": 200,
@@ -361,6 +377,7 @@ class TestPerfCheck:
         assert out.count("FAIL:") == 14
         assert "PASS" not in out  # every floor violated: the table agrees
         assert "contended event-queue scheduler" in out
+        assert "engine attack-space sweep 0.50x" in out
         assert "warm DiskStore run" in out
         assert "service dedup hit-rate" in out
         assert "single-flight" in out
@@ -376,7 +393,7 @@ class TestPerfCheck:
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
                     {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
+                     "speedup_engine_serial_vs_serial": 4.0},
                     {"benchmark": "engine-disk-warm-run",
                      "speedup_warm_disk": 100.0},
                     {"benchmark": "grid-resume-overhead", "points": 200,
@@ -405,7 +422,7 @@ class TestPerfCheck:
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
                     {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
+                     "speedup_engine_serial_vs_serial": 4.0},
                     {"benchmark": "grid-resume-overhead", "points": 200,
                      "plain_seconds": 1.5, "checkpoint_seconds": 1.53,
                      "overhead_fraction": 0.02, "resume_seconds": 0.04,
@@ -437,7 +454,7 @@ class TestPerfCheck:
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
                     {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
+                     "speedup_engine_serial_vs_serial": 4.0},
                     {"benchmark": "engine-disk-warm-run",
                      "speedup_warm_disk": 100.0},
                     {"benchmark": "grid-resume-overhead", "points": 200,
@@ -509,7 +526,7 @@ class TestPerfCheck:
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
                     {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
+                     "speedup_engine_serial_vs_serial": 4.0},
                     {"benchmark": "engine-disk-warm-run",
                      "speedup_warm_disk": 100.0},
                     dict(GOOD_SERVICE_RECORD),
@@ -534,7 +551,7 @@ class TestPerfCheck:
                 "engine_results": [
                     {"benchmark": "engine-analyze-warm-cache", "speedup_warm": 30.0},
                     {"benchmark": "engine-attack-space-sharded",
-                     "speedup_sharded_vs_serial": 4.0},
+                     "speedup_engine_serial_vs_serial": 4.0},
                     {"benchmark": "engine-disk-warm-run",
                      "speedup_warm_disk": 100.0},
                     {"benchmark": "grid-resume-overhead", "points": 200,
@@ -685,6 +702,25 @@ class TestRunCommand:
     def test_run_malformed_param_exits(self):
         with pytest.raises(SystemExit):
             main(["run", "--kind", "simulate", "--param", "attack"])
+
+    def test_zero_sized_timing_model_fails_cleanly(self):
+        """A zero dispatch width once spun the event scheduler forever; it
+        must be one ``run failed:`` line, in a fresh process that a timeout
+        can still stop if the hang comes back."""
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+        )
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", "--kind", "simulate",
+             "--param", "attack=spectre_v1",
+             "--param", 'model={"dispatch_width": 0}'],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 1
+        lines = completed.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("run failed:")
+        assert "dispatch_width" in lines[0]
 
 
 class TestStoreFlag:

@@ -11,7 +11,6 @@ from repro.attacks import (
     DelayMechanism,
     SecretSource,
     get as get_attack,
-    novel_combinations,
 )
 from repro.defenses import evaluate_matrix, get as get_defense
 from repro.engine import Engine, Result, default_engine, set_default_engine
@@ -20,6 +19,8 @@ from repro.graphtool.classify import AuthorizationKind
 from repro.graphtool.expansion import expansion_for
 from repro.isa import assemble
 from repro.isa.instructions import Nop
+from repro.scenario import ScenarioSpec
+from repro.store import DiskStore, MemoryStore
 
 
 @pytest.fixture
@@ -184,22 +185,6 @@ class TestExecutionPlane:
         assert engine.map(abs, items) == items
         assert engine.map(abs, items, parallel=4) == items
 
-    def test_sharded_attack_space_is_byte_identical_to_serial(self, engine):
-        serial = engine.synthesize(self.SOURCES, self.DELAYS, self.CHANNELS)
-        parallel = engine.synthesize(
-            self.SOURCES, self.DELAYS, self.CHANNELS, parallel=4
-        )
-        assert serial.data["combinations"] == 18
-        assert parallel.to_json() == serial.to_json()
-
-    def test_sharded_matrix_is_byte_identical_to_serial(self, engine):
-        defenses = [get_defense(k) for k in ("lfence", "kpti", "invisispec")]
-        attacks = [get_attack(k) for k in ("spectre_v1", "meltdown", "fallout")]
-        serial = engine.evaluate_matrix(defenses, attacks)
-        parallel = engine.evaluate_matrix(defenses, attacks, parallel=2)
-        assert parallel.to_json() == serial.to_json()
-        assert len(serial.payload) == 9
-
     def test_matrix_rows_are_key_sorted(self, engine):
         defenses = [get_defense(k) for k in ("ssbb", "lfence")]
         attacks = [get_attack(k) for k in ("spectre_v4", "spectre_v1")]
@@ -215,14 +200,6 @@ class TestExecutionPlane:
         assert [(r.defense_key, r.attack_key, r.effective) for r in legacy] == [
             (r.defense_key, r.attack_key, r.effective) for r in engine_rows
         ]
-
-    def test_novel_combinations_parallel_matches_serial(self):
-        serial = novel_combinations(self.SOURCES, self.DELAYS, self.CHANNELS)
-        parallel = novel_combinations(
-            self.SOURCES, self.DELAYS, self.CHANNELS, parallel=3
-        )
-        assert serial == parallel
-        assert all(not attack.is_published for attack in serial)
 
     def test_serial_matrix_warms_the_session_cache(self, engine):
         defenses = [get_defense(k) for k in ("lfence", "kpti")]
@@ -243,19 +220,52 @@ class TestExecutionPlane:
         with pytest.raises(ValueError):
             engine.run_exploits(names=["spectre_v1", "spectre_v1"])
 
-    def test_sharded_exploits_match_serial(self, engine):
-        names = ["spectre_v1", "meltdown"]
-        serial = engine.run_exploits(names=names)
-        parallel = engine.run_exploits(names=names, parallel=2)
-        assert serial.data["rows"] == parallel.data["rows"]
-        assert serial.ok and parallel.ok  # both leak without defenses
-        assert list(parallel.payload) == names
-
     def test_synth_verdicts_dedupe_structural_twins(self, engine):
         engine.synthesize(self.SOURCES, self.DELAYS, self.CHANNELS)
         stats = engine.stats()["synth_verdicts"]
         # 3 sources x 3 delays = 9 structures for 18 combinations.
         assert stats["misses"] == 9 and stats["hits"] == 9
+
+
+# ---------------------------------------------------------------------------
+# Composite kinds run in-process: only grids cross a process boundary
+# ---------------------------------------------------------------------------
+COMPOSITE_SPECS = [
+    ScenarioSpec("matrix", defenses=["lfence", "kpti"],
+                 attacks=["spectre_v1", "meltdown"]),
+    ScenarioSpec("synthesize", sources=["MAIN_MEMORY", "L1_CACHE"],
+                 delays=["CONDITIONAL_BRANCH", "TSX_ABORT"],
+                 channels=["FLUSH_RELOAD", "PRIME_PROBE"]),
+    ScenarioSpec("exploit_suite", exploits=["spectre_v1", "meltdown"]),
+    ScenarioSpec("simulate_sweep", attacks=["spectre_v1", "meltdown"],
+                 defenses=[None, "PREVENT_SPECULATIVE_LOADS"]),
+    ScenarioSpec("window_ablation", attacks=["spectre_v1"],
+                 window_grid=[[4, 2], [16, 8]]),
+    ScenarioSpec("validate_timing", attacks=["spectre_v1", "meltdown"]),
+    ScenarioSpec("ablation", attack="spectre_v1"),
+]
+
+
+class TestCompositeKindsStayInProcess:
+    @pytest.mark.parametrize("spec", COMPOSITE_SPECS, ids=lambda spec: spec.kind)
+    def test_session_parallel_spawns_no_pool(self, spec):
+        with Engine(parallel=2) as session:
+            result = session.run(spec)
+            assert session._executor is None
+        assert result.to_json() == Engine().run(spec).to_json()
+
+    @pytest.mark.parametrize("make_store", [
+        lambda root: MemoryStore(),
+        lambda root: DiskStore(root=root),
+    ], ids=["memory", "disk"])
+    def test_exploit_suite_is_one_store_entry(self, make_store, tmp_path):
+        """The suite's exploits must not each become a checkpointed point:
+        per-point store traffic inside pool workers is what slows a resumed
+        grid of suites."""
+        store = make_store(tmp_path)
+        session = Engine(store=store)
+        session.run(ScenarioSpec("exploit_suite", exploits=["spectre_v1", "meltdown"]))
+        assert store.stats()["puts"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -465,18 +475,6 @@ class TestEngineSimulate:
         )
         assert engine.stats()["simulations"]["misses"] == before
 
-    def test_sharded_sweep_matches_serial(self):
-        from repro.uarch import SimDefense
-
-        kwargs = dict(
-            attacks=["spectre_v1", "meltdown"],
-            defenses=[None, SimDefense.NO_SPECULATIVE_FORWARDING],
-        )
-        serial = Engine().simulate_sweep(**kwargs)
-        with Engine() as session:
-            sharded = session.simulate_sweep(parallel=2, **kwargs)
-        assert sharded.data == serial.data
-
     def test_sweep_honors_the_timing_model(self, engine):
         """A contended model must reach every run of the sweep (and key the
         cache separately from the default-model sweep)."""
@@ -492,19 +490,6 @@ class TestEngineSimulate:
         assert default.data["rows"][0]["transmit_beats_squash"] is True
         assert serialized.data["rows"][0]["transmit_beats_squash"] is False
         assert engine.stats()["simulations"]["entries"] == 2
-
-    def test_sharded_sweep_with_model_matches_serial(self):
-        from repro.uarch.timing import CONTENDED_MODEL
-
-        kwargs = dict(
-            attacks=["spectre_v1", "spectre_v2"],
-            defenses=[None],
-            model=CONTENDED_MODEL,
-        )
-        serial = Engine().simulate_sweep(**kwargs)
-        with Engine() as session:
-            sharded = session.simulate_sweep(parallel=2, **kwargs)
-        assert sharded.data == serial.data
 
 
 class TestEnginePatchAblation:
@@ -532,17 +517,6 @@ class TestEnginePatchAblation:
     def test_ablation_unknown_exploit(self, engine):
         with pytest.raises(KeyError):
             engine.ablation("rowhammer")
-
-    def test_sharded_ablation_matches_serial(self):
-        """ROADMAP open item: the exploit ablation shards over Engine.map
-        (via its explicit exploit scenario grid) with identical rows."""
-        serial = Engine().ablation("spectre_v1")
-        with Engine() as session:
-            sharded = session.ablation("spectre_v1", parallel=2)
-        assert sharded.data == serial.data
-        assert [row.defense for row in sharded.payload] == [
-            row.defense for row in serial.payload
-        ]
 
     def test_ablation_routes_through_the_exploit_grid(self, engine):
         from repro.uarch import SimDefense
@@ -640,28 +614,14 @@ class TestAblateWindow:
         assert channel_rows["contended"]["detected"] is True
         assert channel_rows["contended"]["recovered"] == channel_rows["contended"]["value"]
 
-    def test_sharded_ablation_matches_serial(self):
-        kwargs = dict(
-            attacks=["spectre_v1", "meltdown"],
-            window_grid=[(4, 2), (16, 8)],
-            port_configs=[("unbounded", {}), ("serialized", {
-                "alu_ports": 1, "load_store_ports": 1, "branch_ports": 1,
-                "mul_ports": 1, "cdb_width": 1})],
-        )
-        serial = Engine().ablate_window(**kwargs)
-        with Engine() as session:
-            sharded = session.ablate_window(parallel=2, **kwargs)
-        assert sharded.data == serial.data
-
     def test_aliased_attacks_share_ablation_runs(self):
-        """ridl and zombieload share the mds scenario: the sharded ablation
-        must ship (and cache) one simulation per unique key, not per alias."""
+        """ridl and zombieload share the mds scenario: the ablation must run
+        (and cache) one simulation per unique key, not per alias."""
         with Engine() as session:
             result = session.ablate_window(
                 ["ridl", "zombieload"],
                 window_grid=self.GRID,
                 port_configs=self.PORTS,
-                parallel=2,
             )
         expected_models = len(self.GRID) * len(self.PORTS)
         assert len(result.data["rows"]) == 2 * expected_models

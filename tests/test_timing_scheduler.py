@@ -266,7 +266,8 @@ class TestTimingModelContention:
 
     @pytest.mark.parametrize(
         "field", ["alu_ports", "load_store_ports", "branch_ports", "mul_ports",
-                  "cdb_width"]
+                  "cdb_width", "dispatch_width", "commit_width", "rob_size",
+                  "rs_entries"]
     )
     def test_zero_or_negative_limits_are_rejected(self, field):
         with pytest.raises(ValueError):

@@ -76,16 +76,6 @@ class TestTheorem1CrossValidation:
         assert result.data["agreeing"] == result.data["attacks"] == len(keys())
         assert result.data["disagreeing"] == []
 
-    def test_cross_validate_through_engine_map_matches_serial(self):
-        with Engine() as engine:
-            sharded = cross_validate(
-                ["spectre_v1", "meltdown", "ridl"], engine=engine, parallel=2
-            )
-        serial = cross_validate(["spectre_v1", "meltdown", "ridl"])
-        assert [check.to_dict() for check in sharded] == [
-            check.to_dict() for check in serial
-        ]
-
 
 class TestTheorem1UnderContention:
     """Theorem 1 must survive a contended timing plane (acceptance criterion)."""
@@ -127,14 +117,11 @@ class TestTheorem1UnderContention:
 class TestFullTimingSweep:
     """The long (attack x defense) timing sweep, excluded from tier-1."""
 
-    def test_sweep_covers_the_grid_and_matches_serial(self):
-        with Engine() as engine:
-            sharded = engine.simulate_sweep(parallel=2)
-        serial = Engine().simulate_sweep()
-        assert sharded.data == serial.data
+    def test_sweep_covers_the_grid(self):
+        sweep = Engine().simulate_sweep()
         grid = len(SCENARIOS) * (len(SimDefense) + 1)
-        assert sharded.data["runs"] == grid
+        assert sweep.data["runs"] == grid
         # Undefended rows all leak; at least one defense defeats each attack.
-        rows = sharded.data["rows"]
+        rows = sweep.data["rows"]
         undefended = [row for row in rows if not row["defenses"]]
         assert all(row["transmit_beats_squash"] for row in undefended)
