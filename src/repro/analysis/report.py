@@ -232,9 +232,13 @@ def fuzz_campaign_section(result: "Result") -> str:
         ("bucket", "points"),
         [(bucket, count) for bucket, count in data["coverage"].items()],
     )
+    # Envelopes checkpointed before the census was added carry no count.
+    distinct = (
+        f"({data['distinct']} distinct programs) " if "distinct" in data else ""
+    )
     footer = (
         f"seed {data['seed']}: {data['executed']}/{data['generated']} points "
-        f"executed across {data['buckets']} buckets -- "
+        f"{distinct}executed across {data['buckets']} buckets -- "
         f"{data['agreed']} agreed, {data['disagreed']} disagreed, "
         f"{data['quarantined']} quarantined"
     )

@@ -31,6 +31,8 @@ class FlushReloadChannel(CovertChannel):
         self.probe_base = probe_base
         self.entries = entries
         self.stride = stride
+        #: Probe-array address of every value, in value order.
+        self.addresses = tuple(probe_base + value * stride for value in range(entries))
 
     def entry_address(self, value: int) -> int:
         """The probe-array address encoding ``value``."""
@@ -40,8 +42,7 @@ class FlushReloadChannel(CovertChannel):
 
     def prepare(self) -> None:
         """Flush every probe entry (the channel's initial 'absent' state)."""
-        for value in range(self.entries):
-            self.surface.flush_address(self.entry_address(value))
+        self.surface.flush_addresses(self.addresses)
 
     def send(self, value: int) -> None:
         """Sender touches the entry indexed by the secret value."""
@@ -49,7 +50,7 @@ class FlushReloadChannel(CovertChannel):
 
     def measure(self) -> List[int]:
         """Reload every entry and return the measured latencies."""
-        return [self.surface.probe(self.entry_address(value)) for value in range(self.entries)]
+        return self.surface.probe_addresses(self.addresses)
 
     def receive(self, exclude: Iterable[int] = ()) -> ChannelObservation:
         """Reload the array; the fastest entry below the threshold is the value.

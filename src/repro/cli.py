@@ -70,6 +70,7 @@ from .scenario import (
     KINDS,
     ScenarioGrid,
     ScenarioSpec,
+    decode_secret,
     load as load_scenario,
     resolve_program_params,
 )
@@ -83,6 +84,15 @@ def _session(args: argparse.Namespace) -> Engine:
     if store is None:
         return default_engine()
     return Engine(store=store)
+
+
+def _secret_byte(text: str) -> int:
+    """``--secret``: one byte, as a decimal or ``0x`` literal (a usage error
+    otherwise, rather than a run that plants only the low byte)."""
+    try:
+        return decode_secret(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _unknown_key(exc: KeyError) -> SystemExit:
@@ -721,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[store_parent],
     )
     exploit_parser.add_argument("name", help=f"one of: {', '.join(sorted(EXPLOITS))}")
-    exploit_parser.add_argument("--secret", type=lambda v: int(v, 0), default=0x5A)
+    exploit_parser.add_argument("--secret", type=_secret_byte, default=0x5A)
     exploit_parser.add_argument(
         "--defense",
         action="append",
@@ -734,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[store_parent],
     )
     ablation_parser.add_argument("name", help=f"one of: {', '.join(sorted(EXPLOITS))}")
-    ablation_parser.add_argument("--secret", type=lambda v: int(v, 0), default=0x5A)
+    ablation_parser.add_argument("--secret", type=_secret_byte, default=0x5A)
     ablation_parser.add_argument("--json", action="store_true",
                                  help="emit the engine Result envelope as JSON")
     ablation_parser.set_defaults(handler=_cmd_ablation)
@@ -746,7 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate_parser.add_argument(
         "name", nargs="?", help="attack registry key or exploit name, e.g. spectre_v1"
     )
-    simulate_parser.add_argument("--secret", type=lambda v: int(v, 0), default=None)
+    simulate_parser.add_argument("--secret", type=_secret_byte, default=None)
     simulate_parser.add_argument(
         "--defense",
         action="append",
@@ -857,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
              "--resume finishes the rest)",
     )
     fuzz_parser.add_argument(
-        "--secret", type=lambda v: int(v, 0), default=None,
+        "--secret", type=_secret_byte, default=None,
         help="planted secret byte (default 0x5A)",
     )
     fuzz_parser.add_argument(

@@ -29,7 +29,8 @@ caches** (:meth:`build` / :meth:`analyze` keyed on
 :meth:`Program.content_hash() <repro.isa.program.Program.content_hash>`,
 ``(defense, variant)``-keyed evaluations, ``(source, delay, channel)``-keyed
 synthesized graphs, ``(attack, config, secret, model)``-keyed timing
-simulations), all bounded (``cache_limit``), observable (:meth:`stats`) and
+simulations, ``(program sha, secret, inject, model)``-keyed fuzz verdicts),
+all bounded (``cache_limit``), observable (:meth:`stats`) and
 droppable (:meth:`invalidate`), and its **execution plane**
 (:meth:`Engine.map`: a session-owned process pool with a deterministic
 serial fallback; parallel output is byte-identical to serial output).
@@ -116,6 +117,7 @@ from .uarch.timing.scheduler import CONTENDED_MODEL, SERIALIZED_MODEL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultPlan
+    from .fuzz.generator import FuzzVerdict
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -545,6 +547,10 @@ class Engine:
         #: session instead of once per serve.  Values are what
         #: :func:`_decode_simulate_point` returns.
         self._point_decodes: Dict[Tuple, Tuple] = {}
+        #: Dual-oracle verdicts of ``fuzz_point`` runs keyed on (program
+        #: sha, planted secret, inject, model): a campaign repeats programs,
+        #: and a repeat is a pure function of this key.
+        self._fuzz_verdicts: Dict[Tuple, FuzzVerdict] = {}
         self._executor: Optional[ProcessPoolExecutor] = None
         self._executor_workers = 0
         self._closed = False
@@ -603,6 +609,7 @@ class Engine:
             "synth_verdicts": self._synth_verdicts,
             "simulations": self._simulations,
             "tsg_verdicts": self._tsg_verdicts,
+            "fuzz_verdicts": self._fuzz_verdicts,
         }
 
     def stats(self) -> Dict[str, Dict[str, int]]:
@@ -697,8 +704,8 @@ class Engine:
 
         ``cache`` selects one cache (``builds`` / ``analyses`` /
         ``evaluations`` / ``synth_graphs`` / ``synth_verdicts`` /
-        ``simulations``, plus ``store`` when a spec-level artifact store is
-        plugged in); ``None``
+        ``simulations`` / ``tsg_verdicts`` / ``fuzz_verdicts``, plus
+        ``store`` when a spec-level artifact store is plugged in); ``None``
         clears everything, including the registry's published-key index and
         the shared micro-op expansion cache, and also shuts down the worker
         pool (forked workers snapshot the parent at pool creation, so a
@@ -1880,8 +1887,8 @@ class Engine:
 
         seed = int(spec.get("seed"))
         index = int(spec.get("index"))
-        secret = spec.get("secret")
-        planted = FUZZ_SECRET if secret is None else int(secret)
+        secret = decode_secret(spec.get("secret"))
+        planted = FUZZ_SECRET if secret is None else secret
         inject = spec.get("inject")
         model_name = spec.get("model")
         model = decode_model(model_name) if model_name is not None else None
@@ -1893,9 +1900,17 @@ class Engine:
                 f"program {str(pinned)[:12]} but the generator now builds "
                 f"{case.sha[:12]}"
             )
-        verdict = dual_verdict(
-            case, secret=planted, inject=inject, engine=self, model=model
-        )
+        # The verdict depends on the program, not on its coordinates: a
+        # repeated program is one lookup.
+        key = (case.sha, planted, inject, model)
+        verdict = self._fuzz_verdicts.get(key)
+        cache_state = "cold" if verdict is None else "warm"
+        self._record("fuzz_verdicts", hit=verdict is not None)
+        if verdict is None:
+            verdict = dual_verdict(
+                case, secret=planted, inject=inject, engine=self, model=model
+            )
+            self._store(self._fuzz_verdicts, key, verdict)
         data: Dict[str, object] = {
             "seed": seed,
             "index": index,
@@ -1911,7 +1926,7 @@ class Engine:
             kind="fuzz_point",
             subject=f"fuzz {seed}/{index}: {case.shape.describe()}",
             ok=verdict.agrees,
-            cache="cold",
+            cache=cache_state,
             data=data,
             payload=case,
         )

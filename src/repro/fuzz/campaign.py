@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..scenario import ScenarioGrid, ScenarioSpec
+from ..scenario import ScenarioGrid, ScenarioSpec, decode_secret
 from .generator import (
     FUZZ_SECRET,
     FuzzCase,
@@ -100,6 +100,9 @@ class FuzzCampaign:
     ):
         if count < 1:
             raise ValueError("a campaign needs count >= 1")
+        if budget is not None and budget <= 0:
+            raise ValueError(f"a campaign budget must be > 0 seconds, got {budget}")
+        decode_secret(secret)  # refuse a wider secret here, not per point
         self.engine = engine
         self.seed = int(seed)
         self.count = int(count)
@@ -174,6 +177,7 @@ class FuzzCampaign:
         coverage: Dict[str, int] = {}
         disagreements: List[Dict[str, object]] = []
         agreed = disagreed = quarantined = executed = 0
+        shas = set()
         budget_exhausted = False
         for base in range(0, len(specs), self.chunk):
             if self.budget is not None and time.monotonic() - started > self.budget:
@@ -183,6 +187,7 @@ class FuzzCampaign:
             grid = ScenarioGrid.explicit(chunk_specs)
             for point in engine.iter_grid(grid, parallel=parallel):
                 executed += 1
+                shas.add(point.spec.get("sha"))
                 result = point.result
                 row = result.data
                 if result.kind == "error":
@@ -223,6 +228,7 @@ class FuzzCampaign:
             "budget": self.budget,
             "budget_exhausted": budget_exhausted,
             "generated": len(cases),
+            "distinct": len(shas),
             "agreed": agreed,
             "disagreed": disagreed,
             "quarantined": quarantined,

@@ -641,6 +641,7 @@ def measure_fuzz_throughput(count: int = 96, repeats: int = 2) -> Dict[str, obje
         "seconds": seconds,
         "points_per_second": (data["executed"] / seconds) if seconds > 0 else float("inf"),
         "buckets": data["buckets"],
+        "distinct": data["distinct"],
         "disagreed": data["disagreed"],
         "quarantined": data["quarantined"],
     }

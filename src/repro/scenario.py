@@ -764,9 +764,19 @@ def decode_points(values: Optional[Sequence[object]]):
 
 
 def decode_secret(value: object) -> Optional[int]:
-    """An int secret from an int or a string literal (``"0x5a"``)."""
-    if value is None or isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        return int(value, 0)
-    raise TypeError(f"cannot decode secret from {type(value).__name__}")
+    """An int secret byte from an int or a string literal (``"0x5a"``).
+
+    The harnesses plant the secret as one byte, so a value outside 0..255
+    is refused: planted whole, it would read back as its low byte only.
+    """
+    if value is None:
+        return None
+    if isinstance(value, int):
+        secret = value
+    elif isinstance(value, str):
+        secret = int(value, 0)
+    else:
+        raise TypeError(f"cannot decode secret from {type(value).__name__}")
+    if not 0 <= secret <= 0xFF:
+        raise ValueError(f"secret {secret:#x} is not one byte (0..0xff)")
+    return secret

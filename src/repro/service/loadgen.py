@@ -41,6 +41,13 @@ def overlapping_workload(
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     shared_count = round(per_client * overlap)
     private_count = per_client - shared_count
+    # Every unique spec is one secret byte, counted up from 0x10.
+    private_base = 0x10 + shared_count
+    if private_base + clients * private_count > 0x100:
+        raise ValueError(
+            f"{shared_count + clients * private_count} unique specs do not fit "
+            "the distinct one-byte secrets 0x10..0xff"
+        )
 
     def spec(secret: int) -> Dict[str, object]:
         return {"kind": "exploit", "params": {"exploit": exploit, "secret": secret}}
@@ -49,7 +56,7 @@ def overlapping_workload(
     workload: List[List[Dict[str, object]]] = []
     for client in range(clients):
         private = [
-            spec(0x1000 + client * private_count + index)
+            spec(private_base + client * private_count + index)
             for index in range(private_count)
         ]
         requests: List[Dict[str, object]] = []

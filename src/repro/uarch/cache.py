@@ -11,7 +11,7 @@ CleanupSpec-style rollback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -154,24 +154,68 @@ class SetAssociativeCache:
         """Bring a line into the cache without reporting timing (warm-up helper)."""
         self.access(address, partition=partition)
 
+    def probe_latencies(self, addresses: Iterable[int], partition: int = 0) -> List[int]:
+        """Time a non-allocating access to each address, in order.
+
+        The receiver's reload sweep: the same clock, LRU and hit/miss
+        accounting as ``access(address, partition, fill=False)`` per address.
+        Nothing is filled, so a set's resident lines cannot change during
+        the sweep and are resolved once per touched set.
+        """
+        line_size, sets, lines = self.line_size, self.sets, self._lines
+        hit_latency, miss_latency = self.hit_latency, self.miss_latency
+        # set index -> {tag: first resident line of ``partition``}, as _find.
+        resident: Dict[int, Dict[int, CacheLine]] = {}
+        clock = self._clock
+        hits = 0
+        latencies: List[int] = []
+        for address in addresses:
+            clock += 1
+            block = address // line_size
+            index = block % sets
+            found = resident.get(index)
+            if found is None:
+                found = {}
+                for line in lines[index]:
+                    if line.partition == partition:
+                        found.setdefault(line.tag, line)
+                resident[index] = found
+            line = found.get(block // sets)
+            if line is None:
+                latencies.append(miss_latency)
+            else:
+                line.last_used = clock
+                hits += 1
+                latencies.append(hit_latency)
+        self._clock = clock
+        self.stats.hits += hits
+        self.stats.misses += len(latencies) - hits
+        return latencies
+
     # ------------------------------------------------------------------
     # Flushing and rollback
     # ------------------------------------------------------------------
     def flush_address(self, address: int) -> None:
         """Evict the line containing ``address`` from every partition (clflush)."""
-        self.stats.flushes += 1
-        target_tag = self.tag(address)
-        set_lines = self._lines[self.set_index(address)]
-        self._lines[self.set_index(address)] = [
-            line for line in set_lines if line.tag != target_tag
-        ]
+        self.flush_addresses((address,))
+
+    def flush_addresses(self, addresses: Iterable[int]) -> None:
+        """clflush each address in turn; one flush is counted per address."""
+        line_size, sets, lines = self.line_size, self.sets, self._lines
+        flushed = 0
+        for address in addresses:
+            flushed += 1
+            block = address // line_size
+            index = block % sets
+            set_lines = lines[index]
+            if set_lines:
+                tag = block // sets
+                lines[index] = [line for line in set_lines if line.tag != tag]
+        self.stats.flushes += flushed
 
     def flush_range(self, start: int, size: int) -> None:
         """Flush every line overlapping ``[start, start+size)``."""
-        address = self.line_address(start)
-        while address < start + size:
-            self.flush_address(address)
-            address += self.line_size
+        self.flush_addresses(range(self.line_address(start), start + size, self.line_size))
 
     def flush_all(self) -> None:
         self.stats.flushes += 1

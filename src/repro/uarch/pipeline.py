@@ -154,8 +154,8 @@ class SpeculativeCPU:
     def get_register(self, name: str) -> int:
         return self.registers.read(name)
 
-    def flush_address(self, address: int) -> None:
-        self.cache.flush_address(address)
+    def flush_addresses(self, addresses: Sequence[int]) -> None:
+        self.cache.flush_addresses(addresses)
 
     def flush_range(self, start: int, size: int) -> None:
         self.cache.flush_range(start, size)
@@ -184,16 +184,14 @@ class SpeculativeCPU:
             return self.RECEIVER_PARTITION
         return self.VICTIM_PARTITION
 
-    def probe(self, address: int, *, fill: bool = False) -> int:
-        """Timed probe access used by the receiver (Flush+Reload / Prime+Probe).
+    def probe_addresses(self, addresses: Sequence[int]) -> List[int]:
+        """Timed receiver probes of ``addresses``, in one cache sweep.
 
-        Probes default to non-allocating accesses so that probing one entry
-        of the 256-entry probe array does not evict the entry the victim
-        touched -- the timing information is the same either way.
+        Probes are non-allocating accesses so that probing one entry of the
+        256-entry probe array does not evict the entry the victim touched --
+        the timing information is the same either way.
         """
-        return self.cache.access(
-            address, partition=self.receiver_partition, fill=fill
-        ).latency
+        return self.cache.probe_latencies(addresses, self.receiver_partition)
 
     def context_switch(self, new_context: int, *, supervisor: Optional[bool] = None) -> None:
         """Switch context; with the predictor-flush defense this clears predictors."""

@@ -79,6 +79,23 @@ class TestFlushReload:
         channel.prepare()
         assert len(channel.measure()) == 10
 
+    def test_flush_and_reload_are_one_surface_call_each(self, surface):
+        calls = []
+
+        class Counting:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(surface, name)
+
+        channel = FlushReloadChannel(Counting(), PROBE_BASE, entries=16)
+        channel.prepare()
+        assert calls == ["flush_addresses"]
+        calls.clear()
+        channel.send(3)
+        calls.clear()
+        assert channel.receive().value == 3
+        assert calls == ["probe_addresses"]
+
 
 class TestPrimeProbe:
     def test_roundtrip_recovers_the_set_index(self, cache):

@@ -150,6 +150,36 @@ class TestCommands:
         assert "unknown" in err and "'nosuch'" in err and "known" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["exploit", "spectre_v1", "--secret", "300"],
+        ["ablation", "spectre_v1", "--secret", "-1"],
+        ["simulate", "spectre_v1", "--secret", "0x100"],
+        ["fuzz", "--count", "4", "--secret", "300"],
+    ])
+    def test_secret_wider_than_a_byte_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --secret" in err and "not one byte" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_fuzz_non_positive_budget_fails(self, budget, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fuzz", "--count", "4", "--budget", budget])
+        assert str(exit_info.value.code).startswith("fuzz failed: ")
+        assert "budget must be > 0" in str(exit_info.value.code)
+        assert capsys.readouterr().out == ""
+
+    def test_fuzz_summary_counts_distinct_programs(self, capsys):
+        from repro.fuzz import make_case
+
+        distinct = len({make_case(1, index).sha for index in range(12)})
+        assert main(["fuzz", "--count", "12", "--seed", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"12/12 points ({distinct} distinct programs) executed" in out
+
     def test_exploit_unknown_defense(self):
         with pytest.raises(SystemExit):
             main(["exploit", "meltdown", "--defense", "tinfoil_hat"])

@@ -34,6 +34,27 @@ def _reciprocal(value):
 
 
 # ---------------------------------------------------------------------------
+# The planted secret is one byte
+# ---------------------------------------------------------------------------
+class TestSecretIsOneByte:
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec("exploit", exploit="spectre_v1", secret=300),
+        ScenarioSpec("exploit", exploit="meltdown", secret="0x100"),
+        ScenarioSpec("simulate", attack="spectre_v1", secret=300),
+        ScenarioSpec("simulate", attack="meltdown", secret=-1),
+        ScenarioSpec("fuzz_point", seed=0, index=0, secret=300),
+        ScenarioSpec("fuzz_point", seed=0, index=0, secret="0x100"),
+    ])
+    def test_wider_secret_is_refused(self, engine, spec):
+        with pytest.raises(ValueError, match="not one byte"):
+            engine.run(spec)
+
+    def test_top_byte_value_still_leaks(self, engine):
+        result = engine.run(ScenarioSpec("exploit", exploit="spectre_v1", secret="0xff"))
+        assert result.ok and result.data["recovered"] == 0xFF
+
+
+# ---------------------------------------------------------------------------
 # Program content hashing
 # ---------------------------------------------------------------------------
 class TestContentHash:

@@ -116,11 +116,17 @@ class TestFuzzCampaign:
         assert len(seen) == 12
         assert resumed.data["coverage"] == cold.data["coverage"]
 
-    def test_budget_zero_stops_before_the_first_chunk(self):
-        result = Engine().run_fuzz_campaign(seed=0, count=50, budget=0.0)
+    def test_spent_budget_stops_before_the_first_chunk(self):
+        # Generating 50 programs alone outlasts a nanosecond budget.
+        result = Engine().run_fuzz_campaign(seed=0, count=50, budget=1e-9)
         assert result.data["executed"] == 0
         assert result.data["budget_exhausted"]
         assert result.ok  # nothing disagreed, nothing quarantined
+
+    @pytest.mark.parametrize("budget", [0, 0.0, -1])
+    def test_non_positive_budget_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be > 0"):
+            Engine().run_fuzz_campaign(seed=0, count=4, budget=budget)
 
     def test_sharded_campaign_matches_serial(self):
         stable = (
@@ -152,6 +158,88 @@ class TestFuzzCampaign:
     def test_count_must_be_positive(self):
         with pytest.raises(ValueError, match="count"):
             FuzzCampaign(Engine(), seed=0, count=0)
+
+    def test_distinct_counts_the_executed_programs(self):
+        data = Engine().run_fuzz_campaign(seed=3, count=40).data
+        assert data["distinct"] == len({make_case(3, i).sha for i in range(40)})
+        assert data["distinct"] <= data["executed"]
+
+    def test_secret_wider_than_a_byte_is_rejected_up_front(self):
+        with pytest.raises(ValueError, match="not one byte"):
+            FuzzCampaign(Engine(), seed=0, count=4, secret=300)
+
+
+class TestFuzzVerdictMemo:
+    """A repeated program is one verdict per session, served warm."""
+
+    def test_campaign_runs_one_verdict_per_distinct_program(self, monkeypatch):
+        import repro.fuzz.generator as generator
+
+        calls = []
+        real = generator.dual_verdict
+
+        def counting(case, **kwargs):
+            calls.append((case.sha, kwargs["secret"], kwargs["inject"], kwargs["model"]))
+            return real(case, **kwargs)
+
+        monkeypatch.setattr(generator, "dual_verdict", counting)
+        engine = Engine()
+        data = engine.run_fuzz_campaign(seed=0, count=600).data
+        distinct = len({make_case(0, index).sha for index in range(600)})
+        assert len(calls) == len(set(calls)) == distinct == data["distinct"]
+        assert distinct < 600  # the campaign does repeat programs
+        assert engine.stats()["fuzz_verdicts"] == {
+            "entries": distinct, "hits": 600 - distinct, "misses": distinct,
+        }
+
+    def test_memoized_points_equal_fresh_engine_runs(self):
+        engine = Engine()
+        states = []
+        for index in range(60):
+            spec = point_spec(1, index)
+            result = engine.run(spec)
+            states.append(result.cache)
+            assert result.data == Engine().run(spec).data
+        assert "warm" in states  # some programs repeat within the slice
+
+    def test_inject_and_model_are_part_of_the_key(self):
+        engine = Engine()
+        assert engine.run(point_spec(0, 0)).cache == "cold"
+        assert engine.run(point_spec(0, 0, inject="no_flush")).cache == "cold"
+        assert engine.run(point_spec(0, 0, model="contended")).cache == "cold"
+        assert engine.run(point_spec(0, 0, secret=0x11)).cache == "cold"
+        for spec in (
+            point_spec(0, 0),
+            point_spec(0, 0, inject="no_flush"),
+            point_spec(0, 0, model="contended"),
+            point_spec(0, 0, secret=0x11),
+        ):
+            assert engine.run(spec).cache == "warm"
+        assert engine.stats()["fuzz_verdicts"]["entries"] == 4
+
+    def test_cache_limit_and_invalidate(self):
+        shas, indexes = set(), []
+        for index in range(40):
+            sha = make_case(0, index).sha
+            if sha not in shas:
+                shas.add(sha)
+                indexes.append(index)
+        first, second, third = indexes[:3]
+        engine = Engine(cache_limit=2)
+        for index in (first, second, third):
+            engine.run(point_spec(0, index))
+        assert engine.stats()["fuzz_verdicts"]["entries"] == 2
+        assert engine.run(point_spec(0, third)).cache == "warm"
+        assert engine.run(point_spec(0, first)).cache == "cold"  # evicted
+        assert engine.invalidate("fuzz_verdicts") == 2
+        assert engine.stats()["fuzz_verdicts"]["entries"] == 0
+        assert engine.run(point_spec(0, third)).cache == "cold"
+
+    def test_drift_check_runs_on_a_warm_program(self):
+        engine = Engine()
+        engine.run(point_spec(0, 0))
+        with pytest.raises(ValueError, match="generator drift"):
+            engine.run(point_spec(0, 0, sha="0" * 64))
 
 
 class TestInjectedDisagreements:

@@ -310,11 +310,25 @@ class TestDecoderProperties:
             assert isinstance(spec, ScenarioSpec)
 
     @settings(max_examples=100, deadline=None)
-    @given(secret=st.integers(min_value=0, max_value=2**32))
+    @given(secret=st.integers(min_value=0, max_value=255))
     def test_decode_secret_accepts_ints_and_their_hex_spellings(self, secret):
         assert decode_secret(secret) == secret
         assert decode_secret(hex(secret)) == secret
         assert decode_secret(str(secret)) == secret
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        secret=st.one_of(
+            st.integers(min_value=256, max_value=2**32),
+            st.integers(min_value=-(2**32), max_value=-1),
+        )
+    )
+    def test_decode_secret_rejects_values_wider_than_a_byte(self, secret):
+        # The harnesses plant one byte: a wider secret would read back as
+        # its low byte and be misreported as "no leak".
+        for spelling in (secret, hex(secret), str(secret)):
+            with pytest.raises(ValueError, match="not one byte"):
+                decode_secret(spelling)
 
     @settings(max_examples=100, deadline=None)
     @given(

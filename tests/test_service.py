@@ -46,6 +46,27 @@ def _cli_env() -> dict:
     return env
 
 
+class TestLoadgenWorkload:
+    def test_every_unique_spec_is_a_distinct_secret_byte(self):
+        from repro.service.loadgen import overlapping_workload
+
+        workload, unique = overlapping_workload(8, 10, overlap=0.5)
+        secrets = {
+            request["params"]["secret"] for requests in workload for request in requests
+        }
+        assert len(secrets) == unique == 45
+        assert all(0 < secret <= 0xFF for secret in secrets)
+        # Each one leaks as planted (a wider secret would read back truncated).
+        engine = Engine()
+        assert all(engine.run(_spec(secret)).ok for secret in sorted(secrets)[-2:])
+
+    def test_more_unique_specs_than_secret_bytes_is_refused(self):
+        from repro.service.loadgen import overlapping_workload
+
+        with pytest.raises(ValueError, match="one-byte secrets"):
+            overlapping_workload(50, 10, overlap=0.5)
+
+
 # ---------------------------------------------------------------------------
 # Single-flight dedup (in-process, deterministic)
 # ---------------------------------------------------------------------------

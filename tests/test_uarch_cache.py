@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copy
+from dataclasses import astuple
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.uarch import SetAssociativeCache
 
@@ -136,3 +140,75 @@ class TestSpeculativeFills:
     def test_no_fill_access_leaves_cache_unchanged(self, cache):
         cache.access(0x1000, fill=False)
         assert not cache.contains(0x1000)
+
+
+# -- the batched sweeps against their one-address definitions ---------------
+#: Small enough that random addresses share sets, tags and lines.
+_sweep_addresses = st.integers(min_value=0, max_value=4095)
+_fills = st.lists(
+    st.tuples(_sweep_addresses, st.integers(min_value=0, max_value=2), st.booleans()),
+    max_size=40,
+)
+
+
+def _cache_state(cache):
+    return (
+        cache._clock,
+        astuple(cache.stats),
+        [
+            [(line.tag, line.partition, line.last_used, line.speculative) for line in lines]
+            for lines in cache._lines
+        ],
+    )
+
+
+def _reference_flush(cache, address):
+    """clflush of one address, spelled out: drop the line from every partition."""
+    cache.stats.flushes += 1
+    index, tag = cache.set_index(address), cache.tag(address)
+    cache._lines[index] = [line for line in cache._lines[index] if line.tag != tag]
+
+
+def _random_cache(sets, ways, fills):
+    cache = SetAssociativeCache(sets=sets, ways=ways, line_size=64)
+    for address, partition, speculative in fills:
+        cache.access(address, partition=partition, speculative=speculative)
+    return cache
+
+
+class TestBatchedSweeps:
+    @given(
+        sets=st.sampled_from([1, 2, 4]),
+        ways=st.integers(min_value=1, max_value=3),
+        fills=_fills,
+        probes=st.lists(_sweep_addresses, max_size=40),
+        partition=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_probe_latencies_equal_non_allocating_accesses(
+        self, sets, ways, fills, probes, partition
+    ):
+        swept = _random_cache(sets, ways, fills)
+        looped = copy.deepcopy(swept)
+        latencies = swept.probe_latencies(probes, partition)
+        expected = [
+            looped.access(address, partition=partition, fill=False).latency
+            for address in probes
+        ]
+        assert latencies == expected
+        assert _cache_state(swept) == _cache_state(looped)
+
+    @given(
+        sets=st.sampled_from([1, 2, 4]),
+        ways=st.integers(min_value=1, max_value=3),
+        fills=_fills,
+        flushes=st.lists(_sweep_addresses, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_flush_addresses_equals_flushing_one_by_one(self, sets, ways, fills, flushes):
+        swept = _random_cache(sets, ways, fills)
+        looped = copy.deepcopy(swept)
+        swept.flush_addresses(flushes)
+        for address in flushes:
+            _reference_flush(looped, address)
+        assert _cache_state(swept) == _cache_state(looped)

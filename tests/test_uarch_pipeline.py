@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.channels import FlushReloadChannel
 from repro.isa import assemble
 from repro.uarch import SimDefense, SpeculativeCPU, UarchConfig
 
@@ -313,4 +314,23 @@ class TestStoreBypassAndContextSwitch:
         cpu.run("victim")
         leaked_line = 0x1000000 + 0x66 * 4096
         assert cpu.cache.contains(leaked_line, partition=SpeculativeCPU.VICTIM_PARTITION)
-        assert cpu.probe(leaked_line) >= config.hit_threshold
+        assert cpu.probe_addresses([leaked_line])[0] >= config.hit_threshold
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_flush_reload_sweep_respects_the_receiver_partition(self, partitioned):
+        config = UarchConfig()
+        if partitioned:
+            config = config.with_defenses(SimDefense.PARTITIONED_CACHE)
+        cpu = self._cpu(config)
+        channel = FlushReloadChannel(
+            cpu, 0x1000000, entries=256, stride=4096, hit_threshold=config.hit_threshold
+        )
+        channel.prepare()
+        cpu.run("victim")
+        # Entry 0 is the committed (architectural) access.
+        observation = channel.receive(exclude={0})
+        if partitioned:
+            assert not observation.detected
+            assert min(observation.latencies) >= config.hit_threshold
+        else:
+            assert observation.value == 0x66
