@@ -20,7 +20,8 @@ Performance notes
 The TSG maintains a bitset transitive closure (see :mod:`repro.core.tsg`),
 so :func:`has_race` is O(1) -- two bit tests -- and :func:`find_races` over
 the whole graph delegates to ``TopologicalSortGraph.all_racing_pairs``, one
-O(V * V/w) sweep over the closure rather than O(V^2) BFS traversals.
+O(V * V/w) sweep over the closure rather than O(V^2) BFS traversals;
+:func:`race_free` only counts (``racing_pair_count``, one popcount per vertex).
 :func:`has_race_by_enumeration` and :func:`verify_theorem1` intentionally
 remain enumeration-based: they exist to validate the fast path against the
 paper's definition.
@@ -130,7 +131,7 @@ def find_races(
 
 def race_free(graph: TopologicalSortGraph) -> bool:
     """``True`` when the graph is a total order (no racing pair at all)."""
-    return not graph.all_racing_pairs()
+    return graph.racing_pair_count() == 0
 
 
 @dataclass(frozen=True)

@@ -109,15 +109,18 @@ def missing_security_dependencies(
         for op in graph.operations
         if op.op_type in (OperationType.AUTHORIZATION, OperationType.RESOLUTION)
     ]
-    # One reachability-index lookup per authorization vertex; every
-    # (authorization, protected) pair is then a set-membership test.
-    racing = {auth: graph.racing_partners(auth) for auth in authorizations}
+    # One racing mask per authorization vertex; every (authorization,
+    # protected) pair is then one AND against the protected vertex's bit.
+    racing = [(auth, graph.racing_mask(auth)) for auth in authorizations]
     missing: List[SecurityDependency] = []
     for point in points:
-        targets = [op.name for op in graph.operations_of_type(_PROTECTION_TO_OPTYPE[point])]
-        for auth in authorizations:
-            for target in targets:
-                if target in racing[auth]:
+        targets = [
+            (op.name, graph.vertex_bit(op.name))
+            for op in graph.operations_of_type(_PROTECTION_TO_OPTYPE[point])
+        ]
+        for auth, mask in racing:
+            for target, bit in targets:
+                if mask & bit:
                     missing.append(
                         SecurityDependency(
                             authorization=auth,

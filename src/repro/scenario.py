@@ -742,7 +742,12 @@ def decode_axis_enums(enum_cls, values: Optional[Sequence[object]]):
 
 
 def decode_points(values: Optional[Sequence[object]]):
-    """Protection points from enum members or names (``None`` passthrough)."""
+    """Protection points from enum members or names (``None`` passthrough).
+
+    A point named twice is kept once, in first-seen order: the analysis
+    reports each missing dependency per point, so a repeat would report
+    every finding again.  An unknown name is a ``ValueError``.
+    """
     if values is None:
         return None
     from .core.security_dependency import ProtectionPoint
@@ -750,16 +755,21 @@ def decode_points(values: Optional[Sequence[object]]):
     decoded = []
     for value in values:
         if isinstance(value, ProtectionPoint):
-            decoded.append(value)
+            point = value
         elif isinstance(value, str):
             try:
-                decoded.append(ProtectionPoint(value))
+                point = ProtectionPoint(value.lower())
             except ValueError:
-                decoded.append(ProtectionPoint[value.upper()])
+                known = ", ".join(member.value for member in ProtectionPoint)
+                raise ValueError(
+                    f"unknown protection point {value!r}; known: {known}"
+                ) from None
         else:
             raise TypeError(
                 f"cannot decode protection point from {type(value).__name__}"
             )
+        if point not in decoded:
+            decoded.append(point)
     return decoded
 
 

@@ -684,6 +684,15 @@ class TestRunCommand:
         assert envelope["data"]["vulnerable"] is True
         assert envelope["data"]["program"] == listing_file
 
+    def test_run_analyze_unknown_point_is_one_line(self, listing_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--kind", "analyze",
+                  "--param", f"program_path={listing_file}",
+                  "--param", 'points=["nosuch"]'])
+        assert exit_info.value.code == (
+            "run failed: unknown protection point 'nosuch'; known: access, use, send"
+        )
+
     def test_run_axis_builds_a_grid(self, capsys):
         assert main(["run", "--kind", "simulate", "--param", "attack=spectre_v1",
                      "--axis", 'defenses=[null,["PREVENT_SPECULATIVE_LOADS"]]',

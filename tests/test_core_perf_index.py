@@ -6,7 +6,11 @@ random DAGs, including after edge removal (which rebuilds the closure), and
 pin the downset-DP ordering counter against explicit enumeration.  The
 closure properties run on two inputs: small DAGs that hypothesis explores
 edge by edge, and seeded 65-200-vertex DAGs, the size of the analyzer's
-larger programs, where each bitmask spans several machine words.
+larger programs, where each bitmask spans several machine words.  The
+closure's count and mask answers (``racing_pair_count``, the racing-mask
+AND in ``missing_security_dependencies``) are pinned against the pair list
+and the pairwise Theorem-1 check on the same DAGs and on every registry
+attack graph.
 """
 
 from __future__ import annotations
@@ -18,8 +22,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.attacks.registry import build_all_graphs
 from repro.core import TopologicalSortGraph, has_race
-from repro.core.race import find_races
+from repro.core.nodes import Operation, OperationType
+from repro.core.race import find_races, race_free
+from repro.core.security_dependency import (
+    ProtectionPoint,
+    missing_security_dependencies,
+)
 
 
 def bfs_reachable(graph: TopologicalSortGraph, source: str) -> set:
@@ -142,6 +152,101 @@ def test_batch_racing_pairs_match_pairwise_check(dags, data):
     }
     assert batch == pairwise
     assert {frozenset(r.as_pair()) for r in find_races(graph)} == pairwise
+
+
+@DAG_SIZES
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_racing_pair_count_matches_batch(dags, data):
+    """racing_pair_count is the popcount of the pair list, before and after
+    edge removal rebuilds the closure."""
+    graph = data.draw(dags)
+    assert graph.racing_pair_count() == len(graph.all_racing_pairs())
+    assert race_free(graph) == (not graph.all_racing_pairs())
+    edges = graph.edges
+    for victim in edges[:: max(1, len(edges) // 3)]:
+        graph.remove_edge(victim.source, victim.target)
+        assert graph.racing_pair_count() == len(graph.all_racing_pairs())
+
+
+#: Vertex types a typed DAG draws from: both authorization classes, the
+#: three protected classes and one the analysis ignores.
+_TYPES = (
+    OperationType.AUTHORIZATION,
+    OperationType.RESOLUTION,
+    OperationType.SECRET_ACCESS,
+    OperationType.USE,
+    OperationType.SEND,
+    OperationType.OTHER,
+)
+
+_POINT_TYPES = {
+    ProtectionPoint.ACCESS: OperationType.SECRET_ACCESS,
+    ProtectionPoint.USE: OperationType.USE,
+    ProtectionPoint.SEND: OperationType.SEND,
+}
+
+
+def typed_copy(graph: TopologicalSortGraph, seed: int) -> TopologicalSortGraph:
+    """``graph`` with every vertex given a seeded random operation type."""
+    rng = random.Random(seed)
+    typed = TopologicalSortGraph(name=graph.name)
+    for name in graph.vertices:
+        typed.add_operation(Operation(name=name, op_type=rng.choice(_TYPES)))
+    for dependency in graph.edges:
+        typed.add_dependency(dependency)
+    return typed
+
+
+def pairwise_missing_dependencies(graph, points=None):
+    """Reference: one Theorem-1 ``has_race`` per (authorization, protected)
+    pair, in points -> authorizations -> targets order."""
+    authorizations = [
+        op.name
+        for op in graph.operations
+        if op.op_type in (OperationType.AUTHORIZATION, OperationType.RESOLUTION)
+    ]
+    missing = []
+    for point in points if points is not None else list(ProtectionPoint):
+        targets = [op.name for op in graph.operations if op.op_type is _POINT_TYPES[point]]
+        for auth in authorizations:
+            for target in targets:
+                if has_race(graph, auth, target):
+                    missing.append((auth, target, point))
+    return missing
+
+
+def missing_triples(graph, points=None):
+    return [
+        (dependency.authorization, dependency.protected, dependency.point)
+        for dependency in missing_security_dependencies(graph, points=points)
+    ]
+
+
+_POINT_LISTS = st.one_of(
+    st.none(),
+    st.lists(st.sampled_from(list(ProtectionPoint)), min_size=1, max_size=3, unique=True),
+)
+
+
+@DAG_SIZES
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_missing_dependencies_match_pairwise_races(dags, data):
+    """The racing-mask AND reports exactly the pairwise has_race findings,
+    in the same order."""
+    graph = typed_copy(data.draw(dags), data.draw(st.integers(0, 2**32 - 1)))
+    points = data.draw(_POINT_LISTS)
+    assert missing_triples(graph, points) == pairwise_missing_dependencies(graph, points)
+
+
+@pytest.mark.parametrize("key, graph", sorted(build_all_graphs().items()))
+def test_missing_dependencies_match_pairwise_races_on_registry_graphs(key, graph):
+    for points in (None, [ProtectionPoint.SEND, ProtectionPoint.ACCESS]):
+        assert missing_triples(graph, points) == pairwise_missing_dependencies(
+            graph, points
+        )
+    assert graph.racing_pair_count() == len(graph.all_racing_pairs())
 
 
 @given(random_dags())

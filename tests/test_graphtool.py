@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import OperationType, ProtectionPoint
+from repro.core import OperationType, ProtectionPoint, TopologicalSortGraph
 from repro.graphtool import (
     AuthorizationKind,
+    analyze_build,
     analyze_program,
     build_attack_graph,
     find_authorizations,
@@ -15,7 +17,73 @@ from repro.graphtool import (
     patch_program,
     requires_microarch_modelling,
 )
+from repro.graphtool.classify import MICROARCH_KINDS
 from repro.isa import assemble
+
+
+def gadget_program(gadgets) -> str:
+    """Assembly of one gadget per ``(kind, delay)`` pair.
+
+    ``"bounds"`` is a Listing-1 bounds-check gadget (a branch guards the
+    secret load), ``"kernel"`` a Listing-2 kernel load (the privilege check
+    is a micro-op of the load); ``delay`` ALU ops sit between the secret
+    load and the send.
+    """
+    data = [".data", "probe: address=0x1000000 size=1048576 shared"]
+    text = [".text", "    clflush [probe]"]
+    for g, (kind, delay) in enumerate(gadgets):
+        if kind == "bounds":
+            data += [
+                f"array_{g}: address={0x300000 + g * 0x1000:#x} size=16",
+                f"secret_{g}: address={0x300000 + g * 0x1000 + 0x40:#x} size=1 protected",
+                f"bound_{g}: address={0x500000 + g * 0x100:#x} size=8",
+            ]
+            text += [f"    cmp rdx, [bound_{g}]", f"    ja skip_{g}",
+                     f"    mov rax, byte [array_{g} + rdx]"]
+        else:
+            data.append(f"kdata_{g}: address={0xFFFF8000 + g * 0x100:#x} size=64 kernel protected")
+            text.append(f"    mov rax, byte [kdata_{g}]")
+        text += ["    add rax, 0"] * delay + ["    shl rax, 12", "    mov rbx, [probe + rax]"]
+        if kind == "bounds":
+            text.append(f"skip_{g}:")
+    return "\n".join(data + text + ["    hlt"]) + "\n"
+
+
+_GADGETS = st.lists(
+    st.tuples(st.sampled_from(["bounds", "kernel"]), st.integers(0, 2)),
+    min_size=3,
+    max_size=30,
+)
+
+
+def reference_findings(build, points=None):
+    """The per-finding analysis: patchability rescans every secret access."""
+
+    def software_patchable(vulnerability):
+        software_kinds = {
+            site.authorization_kind
+            for site in build.secret_accesses
+            if site.authorization_kind not in MICROARCH_KINDS
+        }
+        return bool(software_kinds) and "::" not in vulnerability.dependency.authorization
+
+    return [
+        (
+            vulnerability.dependency.authorization,
+            vulnerability.dependency.protected,
+            vulnerability.dependency.point,
+            software_patchable(vulnerability),
+            vulnerability.description,
+        )
+        for vulnerability in build.graph.find_vulnerabilities(points=points)
+    ]
+
+
+def finding_rows(report):
+    return [
+        (f.authorization, f.protected_operation, f.point, f.software_patchable, f.description)
+        for f in report.findings
+    ]
 
 
 class TestClassify:
@@ -136,6 +204,59 @@ class TestAnalyzer:
         )
         assert not analyze_program(program).vulnerable
         assert analyze_program(program, protected_symbols=["data"]).vulnerable
+
+
+class TestAnalyzeBuildReference:
+    """analyze_build against the per-finding reference it replaced."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        gadgets=_GADGETS,
+        points=st.one_of(
+            st.none(),
+            st.lists(st.sampled_from(list(ProtectionPoint)), min_size=1, max_size=3, unique=True),
+        ),
+    )
+    def test_findings_match_reference(self, gadgets, points):
+        build = build_attack_graph(assemble(gadget_program(gadgets), name="gadgets"))
+        report = analyze_build(build, points)
+        assert finding_rows(report) == reference_findings(build, points)
+        assert report.total_racing_pairs == len(build.graph.all_racing_pairs())
+
+    def test_mixed_program_has_both_fixes(self):
+        gadgets = [("bounds", 0), ("kernel", 1), ("bounds", 2), ("kernel", 0)]
+        build = build_attack_graph(assemble(gadget_program(gadgets), name="mixed"))
+        rows = finding_rows(analyze_build(build))
+        assert rows == reference_findings(build)
+        assert {row[3] for row in rows} == {True, False}
+
+    def test_kernel_only_program_is_never_software_patchable(self):
+        gadgets = [("kernel", delay) for delay in (0, 1, 2)]
+        build = build_attack_graph(assemble(gadget_program(gadgets), name="kernel"))
+        rows = finding_rows(analyze_build(build))
+        assert rows and not any(row[3] for row in rows)
+
+    def test_one_pass_per_build(self, monkeypatch):
+        """No racing-pair list is built, and the secret accesses are read
+        once however many findings there are."""
+
+        class CountingSites(list):
+            reads = 0
+
+            def __iter__(self):
+                self.reads += 1
+                return super().__iter__()
+
+        def forbidden(graph):
+            raise AssertionError("analyze_build built the racing pair list")
+
+        gadgets = [("bounds", 1), ("kernel", 0)] * 6
+        build = build_attack_graph(assemble(gadget_program(gadgets), name="counted"))
+        build.secret_accesses = CountingSites(build.secret_accesses)
+        monkeypatch.setattr(TopologicalSortGraph, "all_racing_pairs", forbidden)
+        report = analyze_build(build)
+        assert len(report.findings) > 100
+        assert build.secret_accesses.reads == 1
 
 
 class TestPatcher:

@@ -17,6 +17,7 @@ from repro.scenario import (
     ScenarioSpec,
     decode_config,
     decode_model,
+    decode_points,
     decode_secret,
     decode_sim_defense,
     load,
@@ -280,6 +281,25 @@ class TestDecoders:
         assert decode_secret(7) == 7
         assert decode_secret(None) is None
 
+    def test_decode_points_drops_repeats_in_first_seen_order(self):
+        from repro.core.security_dependency import ProtectionPoint
+
+        assert decode_points(None) is None
+        assert decode_points(["send", "ACCESS", "access", ProtectionPoint.SEND, "Use"]) == [
+            ProtectionPoint.SEND,
+            ProtectionPoint.ACCESS,
+            ProtectionPoint.USE,
+        ]
+
+    def test_decode_points_names_the_known_points(self):
+        with pytest.raises(ValueError) as error:
+            decode_points(["access", "nosuch"])
+        assert str(error.value) == (
+            "unknown protection point 'nosuch'; known: access, use, send"
+        )
+        with pytest.raises(TypeError, match="cannot decode protection point"):
+            decode_points([3])
+
 
 class TestDecoderProperties:
     """Hypothesis companions to the decoders: hostile dicts cannot escape.
@@ -361,6 +381,16 @@ class TestRunSpine:
         assert result.kind == "analyze"
         assert result.data["vulnerable"] is True
         assert result.data["program"] == "victim"
+
+    def test_repeated_protection_point_reports_each_finding_once(self):
+        with Engine() as engine:
+            once = engine.run(ScenarioSpec("analyze", program=LISTING1, points=("access",)))
+            twice = engine.run(
+                ScenarioSpec("analyze", program=LISTING1, points=("access", "access"))
+            )
+        assert once.cache == "cold" and twice.cache == "warm"
+        assert once.data["findings"]
+        assert twice.data == once.data
 
     def test_legacy_methods_route_through_run(self):
         """Acceptance criterion: every named workload is a spec execution."""
