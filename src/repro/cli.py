@@ -95,8 +95,9 @@ def _secret_byte(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _unknown_key(exc: KeyError) -> SystemExit:
-    """A catalog lookup miss as a usage error: its one-line message, status 2."""
+def _usage_error(exc: Exception) -> SystemExit:
+    """A catalog lookup miss or a bad option value as a usage error: its
+    one-line message, status 2."""
     print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
     return SystemExit(2)
 
@@ -124,7 +125,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     try:
         variant = get_attack(args.key)
     except KeyError as exc:
-        raise _unknown_key(exc) from None
+        raise _usage_error(exc) from None
     graph = variant.build_graph()
     print(graph.describe())
     if args.dot:
@@ -146,7 +147,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         defense = get_defense(args.defense)
         variant = get_attack(args.attack)
     except KeyError as exc:
-        raise _unknown_key(exc) from None
+        raise _usage_error(exc) from None
     result = _session(args).evaluate(defense, variant)
     if args.json:
         print(result.to_json())
@@ -220,7 +221,7 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     try:
         result = _session(args).ablation(args.name, secret=args.secret)
     except KeyError as exc:
-        raise _unknown_key(exc) from None
+        raise _usage_error(exc) from None
     if args.json:
         print(result.to_json())
         return 0 if result.ok else 1
@@ -274,7 +275,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         result = _session(args).run(spec)
     except KeyError as exc:
-        raise _unknown_key(exc) from None
+        raise _usage_error(exc) from None
     if args.json:
         print(result.to_json())
     else:
@@ -335,21 +336,26 @@ def _run_session(args: argparse.Namespace) -> Engine:
     none was selected) -- a resume without durable checkpoints would have
     nothing to resume from.  ``--faults`` threads a deterministic
     fault-injection plan through the engine and (for store-level faults)
-    wraps the artifact store; ``--timeout`` / ``--retries`` switch grid
-    execution onto the supervised failure-policy plane.
+    wraps the artifact store; ``--timeout`` / ``--retries`` put grid
+    execution under a failure policy (one task per point, retry,
+    quarantine).  A policy that cannot work is a usage error (exit 2),
+    caught before any store is opened.
     """
+    policy = None
+    if args.timeout is not None or args.retries is not None:
+        try:
+            policy = FailurePolicy(
+                timeout=args.timeout,
+                retries=args.retries if args.retries is not None else 2,
+            )
+        except ValueError as exc:
+            raise _usage_error(exc) from None
     store = open_store(getattr(args, "store", None))
     if args.resume and store is None:
         store = open_store("disk")
     plan = load_fault_plan(args.faults) if args.faults else None
     if plan is not None:
         store = apply_store_faults(store, plan)
-    policy = None
-    if args.timeout is not None or args.retries is not None:
-        policy = FailurePolicy(
-            timeout=args.timeout,
-            retries=args.retries if args.retries is not None else 2,
-        )
     if store is None and plan is None and policy is None:
         return default_engine()
     return Engine(store=store, policy=policy, faults=plan)
@@ -782,7 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute a declarative scenario spec or grid",
         parents=[store_parent],
         description="Execute one ScenarioSpec (or a ScenarioGrid of them) "
-                    "through the engine's cached, sharded run spine.  Kinds: "
+                    "through the engine's cached run spine (grids fan out "
+                    "over --parallel workers).  Kinds: "
                     + "; ".join(
                         f"{name} ({info.description})"
                         for name, info in sorted(KINDS.items())
@@ -888,7 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz_parser.add_argument(
         "--parallel", type=int, default=None,
-        help="shard campaign chunks over N workers",
+        help="run each campaign chunk's points over N workers",
     )
     fuzz_parser.add_argument(
         "--json", action="store_true",

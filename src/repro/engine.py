@@ -51,15 +51,12 @@ import pickle
 import random
 import time
 from concurrent.futures import (
-    FIRST_COMPLETED,
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
     as_completed,
-    wait,
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from functools import partial
 from pickle import PicklingError
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -168,8 +165,9 @@ class Result:
 class FailurePolicy:
     """How a grid survives misbehaving points (``Engine(policy=...)``).
 
-    With a policy set, grid misses execute as *per-point* pool tasks under
-    supervision instead of contiguous shards:
+    Grids run on one pool loop either way; a policy changes what a task
+    holds and what a failure does.  With a policy set, each grid miss is its
+    own pool task under supervision:
 
     * ``timeout`` -- wall-clock seconds a point may run before its worker
       is presumed hung; the pool is killed and the point retried in
@@ -187,8 +185,14 @@ class FailurePolicy:
       ``--resume`` retries them) instead of aborting the campaign;
       ``False`` raises :class:`GridPointFailed`.
 
-    Without a policy (the default) grids run the legacy contiguous-shard
-    plane with byte-identical envelopes and fail-fast semantics.
+    Without a policy (the default) misses run as contiguous shards (the
+    least IPC per point) and fail fast: a point's own exception propagates
+    unchanged, and only a broken pool is recovered from, by re-running the
+    points it never delivered in-process with byte-identical envelopes.
+
+    A policy that cannot work (``timeout <= 0``, negative ``retries``,
+    ``backoff`` or ``backoff_cap``, ``jitter`` outside [0, 1]) is a
+    ``ValueError`` at construction.
     """
 
     timeout: Optional[float] = None
@@ -198,6 +202,33 @@ class FailurePolicy:
     jitter: float = 0.25
     quarantine: bool = True
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every bound too.
+        if self.timeout is not None and not self.timeout > 0:
+            raise ValueError(
+                f"failure policy timeout must be > 0 seconds (or None), "
+                f"got {self.timeout}"
+            )
+        if not self.retries >= 0:
+            raise ValueError(f"failure policy retries must be >= 0, got {self.retries}")
+        for name in ("backoff", "backoff_cap"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(
+                    f"failure policy {name} must be >= 0 seconds, "
+                    f"got {getattr(self, name)}"
+                )
+        if not 0 <= self.jitter <= 1:
+            raise ValueError(
+                f"failure policy jitter must be in [0, 1], got {self.jitter}"
+            )
+
+    def delay(self, attempt: int, rng: random.Random) -> float:
+        """Seconds to wait before retry number ``attempt`` (1-based)."""
+        delay = min(self.backoff_cap, self.backoff * (2 ** (attempt - 1)))
+        if self.jitter:
+            delay *= 1.0 + self.jitter * rng.uniform(-1.0, 1.0)
+        return delay
 
 
 class GridPointFailed(RuntimeError):
@@ -243,9 +274,13 @@ def _error_envelope(
 # points are the only work that crosses a process boundary.
 # ---------------------------------------------------------------------------
 #: A picklable (root, version, max_entries) reference to a DiskStore (or
-#: ``None``).  Call sites bind it once per shard with ``functools.partial``
-#: so worker engines join the same persistent cache as the parent session.
+#: ``None``), shipped with every grid task so worker engines join the same
+#: persistent cache as the parent session.
 StoreRef = Optional[Tuple[str, str, Optional[int]]]
+
+#: Failures of the pool itself rather than of a point: a dead worker, or an
+#: envelope that cannot cross the process boundary.
+_POOL_FAULTS = (BrokenExecutor, PicklingError)
 
 
 def _decode_simulate_point(spec: ScenarioSpec) -> Tuple:
@@ -271,37 +306,27 @@ def _decode_simulate_point(spec: ScenarioSpec) -> Tuple:
     return attack, scenario, run_config, secret, run_model
 
 
-def _worker_tracer(ctx: Optional[TraceContext]) -> Optional[Tracer]:
-    """A collect-mode tracer joined to the shipped trace context.
-
-    Pool workers cannot append to the parent's JSONL sink (interleaved
-    buffers across processes would corrupt parentage ordering), so they
-    collect finished span records in memory and return them *with* their
-    results; the parent absorbs them into its own sink.
-    """
-    if ctx is None:
-        return None
-    return Tracer(sink=None, trace_id=ctx.trace_id)
-
-
-def _spec_shard_worker(
+def _grid_worker(
     ref: StoreRef,
     faults: Optional["FaultPlan"],
     ctx: Optional[TraceContext],
     specs: Sequence[ScenarioSpec],
 ) -> Tuple[List[Result], List[Dict[str, object]]]:
-    """Execute one shard of a generic scenario grid.
+    """Execute one grid task: a contiguous shard, or one point under a policy.
 
     Each worker builds its own serial ``Engine``; with a disk-backed store
     reference the worker joins the parent's persistent cache, so repeated
     grids are warm across processes -- and every completed point is a
     durable checkpoint the moment its envelope is persisted.
 
-    Returns ``(results, spans)``: when a :class:`TraceContext` was shipped
-    the worker's ``worker.point`` spans (and everything nested under them)
-    ride back for the parent tracer to absorb; otherwise ``spans`` is empty.
+    Returns ``(results, spans)``.  Pool workers cannot append to the
+    parent's JSONL sink (interleaved buffers across processes would corrupt
+    parentage ordering), so when a :class:`TraceContext` was shipped the
+    worker collects its ``worker.point`` spans (and everything nested under
+    them) in memory and they ride back for the parent tracer to absorb;
+    otherwise ``spans`` is empty.
     """
-    tracer = _worker_tracer(ctx)
+    tracer = None if ctx is None else Tracer(sink=None, trace_id=ctx.trace_id)
     engine = Engine(store=store_from_ref(ref), faults=faults, tracer=tracer)
     if tracer is None:
         return [engine.run(spec) for spec in specs], []
@@ -312,30 +337,6 @@ def _spec_shard_worker(
         ):
             results.append(engine.run(spec))
     return results, tracer.drain()
-
-
-def _point_worker(
-    ref: StoreRef,
-    faults: Optional["FaultPlan"],
-    ctx: Optional[TraceContext],
-    spec: ScenarioSpec,
-) -> Tuple[Result, List[Dict[str, object]]]:
-    """Execute a single grid point: the failure-policy execution unit.
-
-    One point per pool task keeps blame assignment exact -- when a worker
-    dies or wedges, the supervisor knows precisely which spec it was
-    holding, retries it in isolation and quarantines only that point.
-    Returns ``(result, spans)`` exactly like :func:`_spec_shard_worker`.
-    """
-    tracer = _worker_tracer(ctx)
-    engine = Engine(store=store_from_ref(ref), faults=faults, tracer=tracer)
-    if tracer is None:
-        return engine.run(spec), []
-    with tracer.span(
-        "worker.point", parent=ctx, kind=spec.kind, key=spec.content_hash()[:12]
-    ):
-        result = engine.run(spec)
-    return result, tracer.drain()
 
 
 #: (ROB entries, reservation stations) points of the window-length ablation:
@@ -477,9 +478,9 @@ class Engine:
         self.cache_limit = cache_limit
         self.store = store
         #: Optional :class:`FailurePolicy` supervising grid execution.
-        #: ``None`` keeps the legacy fail-fast shard plane (byte-identical
-        #: envelopes); a policy switches misses to supervised per-point
-        #: tasks with timeout / retry / quarantine semantics.
+        #: Grids run on one pool loop either way: ``None`` submits misses as
+        #: contiguous shards and fails fast; a policy submits one point per
+        #: task with timeout / retry / quarantine semantics.
         self.policy = policy
         #: Optional :class:`~repro.faults.FaultPlan`: deterministic fault
         #: injection, threaded to worker engines with the work.
@@ -930,11 +931,11 @@ class Engine:
         only the points never yielded (``stats()["grid"]["resumed"]``
         counts the served checkpoints).
 
-        With a :class:`FailurePolicy` on the session the misses run as
-        supervised per-point tasks (timeout / retry / quarantine -- see the
-        policy's docstring); without one they run the legacy contiguous
-        shard plane and a point failure propagates fail-fast, exactly as
-        :meth:`run_grid` always did.
+        Misses run on one pool loop.  With a :class:`FailurePolicy` on the
+        session each miss is its own supervised task (timeout / retry /
+        quarantine -- see the policy's docstring); without one they run as
+        contiguous shards and a point's own exception propagates fail-fast,
+        while a broken pool only sends its undelivered points in-process.
         """
         tracer = self._active_tracer()
         if tracer is None:
@@ -946,7 +947,15 @@ class Engine:
     def _iter_grid(
         self, grid: ScenarioGrid, parallel: Optional[int]
     ) -> Iterator[GridPoint]:
-        """The :meth:`iter_grid` body (separated so tracing can wrap it)."""
+        """The :meth:`iter_grid` body (separated so tracing can wrap it).
+
+        Store hits are served first.  With a pool, the misses run as tasks
+        of :meth:`_pool_pass` -- contiguous shards without a policy (the
+        least IPC per point), one point per task under a
+        :class:`FailurePolicy` (a per-point clock and exact blame).  Every
+        point the pool did not deliver, and every miss when no pool is
+        available, goes through :meth:`_recover_point`.
+        """
         specs = grid.specs()
         self._runs_total.inc(len(specs), kind="grid")
         aliased = True
@@ -964,15 +973,27 @@ class Engine:
             misses = list(range(len(specs)))
         if not misses:
             return
+        policy = self.policy
+        rng = random.Random(policy.seed) if policy is not None else None
         workers = self._workers(parallel)
-        if self.policy is not None:
-            yield from self._iter_policy(specs, misses, workers, aliased)
-        elif workers > 1 and len(misses) > 1:
-            yield from self._iter_sharded(specs, misses, workers, aliased)
+        pool = self._try_pool(workers) if workers > 1 and len(misses) > 1 else None
+        if pool is not None and not _picklable(
+            (self.faults, [specs[index] for index in misses])
+        ):
+            pool = None
+        failed: List[Tuple[int, Optional[Tuple[str, str]]]] = []
+        if pool is None:
+            failed = [(index, None) for index in misses]
         else:
-            for index in misses:
-                # run() handles the per-point store bookkeeping itself.
-                yield GridPoint(index, specs[index], self.run(specs[index]))
+            tasks = (
+                _shards(misses, workers)
+                if policy is None
+                else [[index] for index in misses]
+            )
+            yield from self._pool_pass(pool, specs, tasks, failed)
+        for index, failure in sorted(failed, key=lambda item: item[0]):
+            result = self._recover_point(specs, index, failure, rng, pool is not None)
+            yield GridPoint(index, specs[index], result)
 
     def run_grid(
         self,
@@ -1040,179 +1061,140 @@ class Engine:
         if self.store is not None and ref is None:
             self.store.put(spec.content_hash(), _store_snapshot(result, aliased))
 
-    def _iter_sharded(
+    def _pool_pass(
         self,
+        pool: ProcessPoolExecutor,
         specs: Sequence[ScenarioSpec],
-        misses: List[int],
-        workers: int,
-        aliased: bool,
+        tasks: List[List[int]],
+        failed: List[Tuple[int, Optional[Tuple[str, str]]]],
     ) -> Iterator[GridPoint]:
-        """The legacy fail-fast plane, streaming per completed shard."""
+        """The one pool loop: run ``tasks`` (lists of grid indices) on ``pool``.
+
+        Yields each point as its task completes and appends every point the
+        pool did not deliver to ``failed`` with its failure info.  Every
+        task gets a detached ``engine.shard`` span.  The loop waits through
+        ``as_completed`` on the policy's ``timeout`` (forever without a
+        policy); a window with no completion presumes the running workers
+        hung.  A hung or broken pool is killed -- a plain shutdown would
+        join the hung worker -- after harvesting the tasks that completed
+        before it broke.  Without a policy a point's own exception
+        propagates unchanged (fail-fast).
+        """
+        policy = self.policy
+        timeout = policy.timeout if policy is not None else None
         ref = store_ref(self.store)
+        aliased = getattr(self.store, "aliases_values", True)
         tracer = self._active_tracer()
-        worker = partial(_spec_shard_worker, ref, self.faults, None)
-        payload = [specs[index] for index in misses]
-        pool = self._try_pool(workers)
-        if pool is None or not _picklable((worker, payload)):
-            for index in misses:
-                yield GridPoint(index, specs[index], self.run(specs[index]))
-            return
-        shards = _shards(misses, workers)
-        remaining: Dict[Future, List[int]] = {}
-        spans: Dict[Future, "Span"] = {}
+        pending: Dict[Future, Tuple[List[int], Optional[Span]]] = {}
+        fault: Optional[Tuple[str, str]] = None
+        for number, task in enumerate(tasks):
+            span = None
+            if tracer is not None:
+                # Detached: task spans finish in completion order, not LIFO
+                # -- they must never sit on the submitting thread's span
+                # stack.  Their context ships with the work so worker.point
+                # spans parent on them.
+                span = tracer.span("engine.shard", detached=True, points=len(task))
+            try:
+                future = pool.submit(
+                    _grid_worker,
+                    ref,
+                    self.faults,
+                    None if span is None else span.context(),
+                    [specs[index] for index in task],
+                )
+            except _POOL_FAULTS as exc:
+                self._grid_event("pool_respawns")
+                fault = _failure_info(exc, "task submission failed")
+                if span is not None:
+                    tracer.finish(span.set(error=fault[0]))
+                failed.extend(
+                    (index, fault) for rest in tasks[number:] for index in rest
+                )
+                break
+            pending[future] = (task, span)
         try:
-            for shard in shards:
-                if tracer is not None:
-                    # Detached: shard spans finish in completion order from
-                    # as_completed, not LIFO -- they must never sit on the
-                    # submitting thread's span stack.  Their context ships
-                    # with the work so worker.point spans parent on them.
-                    span = tracer.span(
-                        "engine.shard", detached=True, points=len(shard)
+            while pending:
+                try:
+                    # One completion per call: as_completed's timeout is a
+                    # deadline from the call, so a fresh call per completion
+                    # makes the policy timeout a per-window clock.  After a
+                    # fault the zero window only harvests finished tasks.
+                    future = next(
+                        as_completed(
+                            pending, timeout=0 if fault is not None else timeout
+                        )
                     )
-                    worker = partial(
-                        _spec_shard_worker, ref, self.faults, span.context()
-                    )
-                future = pool.submit(worker, [specs[i] for i in shard])
-                remaining[future] = shard
-                if tracer is not None:
-                    spans[future] = span
-            for future in as_completed(list(remaining)):
-                rows, worker_spans = future.result()
-                shard = remaining.pop(future)
+                except FutureTimeoutError:
+                    if fault is None:
+                        self._grid_event("timeouts")
+                        fault = ("Timeout", f"no completion within {timeout}s")
+                    break
+                task, span = pending.pop(future)
+                try:
+                    rows, worker_spans = future.result()
+                except Exception as exc:
+                    died = isinstance(exc, _POOL_FAULTS)
+                    info = _failure_info(exc, "worker process died" if died else None)
+                    if span is not None:
+                        tracer.finish(span.set(error=info[0]))
+                    if not died and policy is None:
+                        raise
+                    if died and fault is None:
+                        self._grid_event("pool_respawns")
+                        fault = info
+                    failed.extend((index, info) for index in task)
+                    continue
                 if tracer is not None:
                     tracer.absorb(worker_spans)
-                    tracer.finish(spans.pop(future))
-                for index, result in zip(shard, rows):
+                    tracer.finish(span)
+                for index, result in zip(task, rows):
                     self._absorb_point(specs[index], result, aliased, ref)
                     yield GridPoint(index, specs[index], result)
-        except (BrokenExecutor, PicklingError):
-            # A broken pool must not change results: the shards never
-            # yielded fall back to the deterministic serial path.
-            # Exceptions raised by a point itself propagate unchanged.
-            self._shutdown_pool()
-            for future, shard in remaining.items():
-                span = spans.pop(future, None)
+        finally:
+            # Tasks never harvested -- a hung or broken pool, a fail-fast
+            # exception, a consumer that stopped early -- still finish
+            # their spans: a sampled-out span holds the tracer's drop depth.
+            for _, span in pending.values():
                 if span is not None:
-                    tracer.finish(span.set(error="BrokenExecutor"))
-                for index in shard:
-                    yield GridPoint(index, specs[index], self.run(specs[index]))
-
-    def _iter_policy(
-        self,
-        specs: Sequence[ScenarioSpec],
-        misses: List[int],
-        workers: int,
-        aliased: bool,
-    ) -> Iterator[GridPoint]:
-        """The supervised plane: per-point tasks under the failure policy."""
-        policy = self.policy
-        rng = random.Random(policy.seed)
-        ref = store_ref(self.store)
-        tracer = self._active_tracer()
-        ctx = tracer.current_context() if tracer is not None else None
-        worker_fn = partial(_point_worker, ref, self.faults, ctx)
-        use_pool = workers > 1 and len(misses) > 1
-        pool = self._try_pool(workers) if use_pool else None
-        if pool is None or not _picklable(
-            (worker_fn, [specs[index] for index in misses])
-        ):
-            for index in misses:
-                yield GridPoint(
-                    index, specs[index], self._run_point_serial(specs[index], rng)
-                )
-            return
-        pending: Dict[Future, int] = {}
-        failed: List[Tuple[int, Tuple[str, str]]] = []
-        try:
-            for index in misses:
-                pending[pool.submit(worker_fn, specs[index])] = index
-        except (BrokenExecutor, PicklingError) as exc:
-            self._grid_event("pool_respawns")
-            self._kill_pool()
-            submitted = set(pending.values())
+                    tracer.finish(span.set(error=fault[0] if fault else "abandoned"))
+        if fault is not None:
             failed.extend(
-                (index, _failure_info(exc, "task submission failed"))
-                for index in misses
-                if index not in submitted
+                (index, fault) for task, _ in pending.values() for index in task
             )
-        while pending:
-            done, _ = wait(
-                list(pending), timeout=policy.timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # Nothing finished inside the window: the workers holding
-                # these points are presumed hung.  Kill the pool (a plain
-                # shutdown would join the hung worker) and retry each
-                # point in isolation.
-                self._grid_event("timeouts")
-                failure = ("Timeout", f"no completion within {policy.timeout}s")
-                failed.extend((index, failure) for index in pending.values())
-                pending.clear()
-                self._kill_pool()
-                break
-            broken = False
-            for future in done:
-                index = pending.pop(future)
-                try:
-                    result, worker_spans = future.result()
-                except (BrokenExecutor, OSError) as exc:
-                    broken = True
-                    failed.append(
-                        (index, _failure_info(exc, "worker process died"))
-                    )
-                except Exception as exc:
-                    failed.append((index, _failure_info(exc)))
-                else:
-                    if tracer is not None:
-                        tracer.absorb(worker_spans)
-                    self._absorb_point(specs[index], result, aliased, ref)
-                    yield GridPoint(index, specs[index], result)
-            if broken:
-                # The whole pool is gone.  Harvest results that completed
-                # before the break; everything else joins the retry queue.
-                self._grid_event("pool_respawns")
-                for future, index in list(pending.items()):
-                    try:
-                        result, worker_spans = future.result(timeout=0)
-                    except Exception as exc:
-                        failed.append(
-                            (index, _failure_info(exc, "worker process died"))
-                        )
-                    else:
-                        if tracer is not None:
-                            tracer.absorb(worker_spans)
-                        self._absorb_point(specs[index], result, aliased, ref)
-                        yield GridPoint(index, specs[index], result)
-                pending.clear()
-                self._kill_pool()
-        for index, failure in sorted(failed, key=lambda item: item[0]):
-            yield GridPoint(
-                index,
-                specs[index],
-                self._recover_point(specs[index], failure, rng, ref),
-            )
+            self._kill_pool()
 
     def _recover_point(
         self,
-        spec: ScenarioSpec,
-        failure: Tuple[str, str],
-        rng: random.Random,
-        ref: StoreRef,
+        specs: Sequence[ScenarioSpec],
+        index: int,
+        failure: Optional[Tuple[str, str]],
+        rng: Optional[random.Random],
+        pooled: bool,
     ) -> Result:
-        """Retry a failed point in isolation until it heals or quarantines."""
+        """Run a point that has no envelope yet: once, or until it heals.
+
+        ``failure`` is the info of its failed pool task, or ``None`` when
+        the point was never attempted (no pool was available).  Without a
+        policy the point runs once in-process and its own exception
+        propagates (fail-fast).  Under a policy it is retried with backoff
+        -- alone in a pool task when ``pooled``, in-process otherwise --
+        until it succeeds or exhausts ``retries`` and is quarantined.
+        """
+        spec = specs[index]
         policy = self.policy
-        attempts = 1  # the failed first pass
+        if policy is None:
+            return self.run(spec)
+        attempts = 0 if failure is None else 1
         last = failure
         while attempts <= policy.retries:
-            self._grid_event("retried")
-            delay = min(policy.backoff_cap, policy.backoff * (2 ** (attempts - 1)))
-            if policy.jitter:
-                delay *= 1.0 + policy.jitter * rng.uniform(-1.0, 1.0)
-            if delay > 0:
-                time.sleep(delay)
+            if attempts:
+                self._grid_event("retried")
+                delay = policy.delay(attempts, rng)
+                if delay > 0:
+                    time.sleep(delay)
             attempts += 1
-            outcome = self._attempt_isolated(spec, ref)
+            outcome = self._attempt(specs, index, pooled)
             if isinstance(outcome, Result):
                 return outcome
             last = outcome
@@ -1225,76 +1207,28 @@ class Engine:
         # quarantined point instead of replaying its failure.
         return _error_envelope(spec, last, attempts)
 
-    def _attempt_isolated(
-        self, spec: ScenarioSpec, ref: StoreRef
+    def _attempt(
+        self, specs: Sequence[ScenarioSpec], index: int, pooled: bool
     ) -> Union[Result, Tuple[str, str]]:
         """One supervised attempt of a single point; failure info on error.
 
-        The point rides alone in a (respawned if needed) pool task, so a
-        crash or timeout is unambiguously its own doing.  When no pool can
-        be spawned at all the engine degrades to in-process execution --
-        exceptions still count, but hangs and crashes can no longer be
-        contained (nothing preempts in-process work).
+        When ``pooled`` the point rides alone in a (respawned if needed)
+        pool task, so a crash or timeout is unambiguously its own doing.
+        In-process -- the serial plane, or a pool that can no longer be
+        spawned -- exceptions still count, but hangs and crashes can no
+        longer be contained (nothing preempts in-process work).
         """
-        policy = self.policy
-        tracer = self._active_tracer()
-        ctx = tracer.current_context() if tracer is not None else None
-        worker_fn = partial(_point_worker, ref, self.faults, ctx)
-        pool = self._try_pool(1)
-        if pool is not None and _picklable((worker_fn, spec)):
-            future = pool.submit(worker_fn, spec)
-            try:
-                result, worker_spans = future.result(timeout=policy.timeout)
-            except FutureTimeoutError:
-                self._grid_event("timeouts")
-                self._kill_pool()
-                return ("Timeout", f"no result within {policy.timeout}s")
-            except (BrokenExecutor, OSError) as exc:
-                self._grid_event("pool_respawns")
-                self._kill_pool()
-                return _failure_info(exc, "worker process died")
-            except Exception as exc:
-                return _failure_info(exc)
-            if tracer is not None:
-                tracer.absorb(worker_spans)
-            aliased = (
-                getattr(self.store, "aliases_values", True)
-                if self.store is not None
-                else True
-            )
-            self._absorb_point(spec, result, aliased, ref)
-            return result
-        self._grid_event("serial_degradations")
+        if pooled:
+            pool = self._try_pool(1)
+            if pool is not None:
+                failed: List[Tuple[int, Optional[Tuple[str, str]]]] = []
+                points = list(self._pool_pass(pool, specs, [[index]], failed))
+                return points[0].result if points else failed[0][1]
+            self._grid_event("serial_degradations")
         try:
-            return self.run(spec)
+            return self.run(specs[index])
         except Exception as exc:
             return _failure_info(exc)
-
-    def _run_point_serial(self, spec: ScenarioSpec, rng: random.Random) -> Result:
-        """The policy plane without any pool: in-process retry + quarantine."""
-        policy = self.policy
-        attempts = 0
-        last = ("Error", "never attempted")
-        while True:
-            attempts += 1
-            try:
-                return self.run(spec)
-            except Exception as exc:
-                last = _failure_info(exc)
-            if attempts > policy.retries:
-                break
-            self._grid_event("retried")
-            delay = min(policy.backoff_cap, policy.backoff * (2 ** (attempts - 1)))
-            if policy.jitter:
-                delay *= 1.0 + policy.jitter * rng.uniform(-1.0, 1.0)
-            if delay > 0:
-                time.sleep(delay)
-        if not policy.quarantine:
-            raise GridPointFailed(
-                f"{spec.describe()}: {last[0]}: {last[1]} (after {attempts} attempts)"
-            )
-        self._grid_event("quarantined")
-        return _error_envelope(spec, last, attempts)
 
     # -- Figure 9 program analysis ------------------------------------------
     def build(

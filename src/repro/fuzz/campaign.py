@@ -4,10 +4,11 @@ A :class:`FuzzCampaign` streams a seeded block of generated gadgets through
 both oracle planes as first-class ``fuzz_point`` specs: every point is
 content-addressed (its spec pins the generator coordinates *and* the
 program's content hash), checkpointed through the session's
-:class:`~repro.store.ArtifactStore`, sharded over :meth:`Engine.iter_grid`
-under :class:`~repro.engine.FailurePolicy` supervision, and therefore
-resumable -- a killed campaign relaunched against the same store recomputes
-only the points never served (``repro fuzz --resume``).
+:class:`~repro.store.ArtifactStore`, fanned out over :meth:`Engine.iter_grid`
+(under :class:`~repro.engine.FailurePolicy` supervision when the session
+has a policy, fail-fast otherwise), and therefore resumable -- a killed
+campaign relaunched against the same store recomputes only the points never
+served (``repro fuzz --resume``).
 
 Points run in bounded chunks so a wall-clock ``budget`` can stop the
 campaign between chunks without abandoning in-flight work; the chunks are

@@ -867,6 +867,22 @@ class TestResumeAndFaults:
         with pytest.raises(SystemExit, match="unknown fault kind"):
             main([*self.GRID, "--faults", str(plan)])
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--kind", "exploit", "--param", "exploit=spectre_v1",
+         "--axis", "secret=1,2,3", "--parallel", "2", "--timeout", "0"],
+        ["run", "--kind", "exploit", "--param", "exploit=spectre_v1",
+         "--axis", "secret=1,2,3", "--parallel", "2", "--timeout=-1"],
+        ["fuzz", "--count", "2", "--retries", "-1"],
+    ])
+    def test_unworkable_policy_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("error: failure policy ")
+        assert captured.out == ""
+
     def test_policy_flags_parse(self):
         parser = build_parser()
         args = parser.parse_args(["run", "--kind", "simulate",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -135,12 +136,44 @@ class TestFaultPlan:
 
 
 # ---------------------------------------------------------------------------
+# FailurePolicy bounds and backoff
+# ---------------------------------------------------------------------------
+class TestFailurePolicy:
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"timeout": 0}, "timeout"),
+            ({"timeout": -1.0}, "timeout"),
+            ({"timeout": float("nan")}, "timeout"),
+            ({"retries": -1}, "retries"),
+            ({"backoff": -0.1}, "backoff"),
+            ({"backoff_cap": -1.0}, "backoff_cap"),
+            ({"jitter": -0.1}, "jitter"),
+            ({"jitter": 1.5}, "jitter"),
+        ],
+    )
+    def test_unworkable_policy_is_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"policy {name} must"):
+            FailurePolicy(**kwargs)
+
+    def test_boundary_values_are_accepted(self):
+        FailurePolicy(timeout=None, retries=0, backoff=0.0, backoff_cap=0.0, jitter=0.0)
+        FailurePolicy(timeout=0.001, jitter=1.0)
+
+    def test_delay_doubles_up_to_the_cap(self):
+        policy = FailurePolicy(backoff=0.1, backoff_cap=0.3, jitter=0.0)
+        delays = [policy.delay(attempt, None) for attempt in (1, 2, 3, 4)]
+        assert delays == pytest.approx([0.1, 0.2, 0.3, 0.3])
+
+
+# ---------------------------------------------------------------------------
 # The supervised grid plane: retry, quarantine, timeout, pool respawn
 # ---------------------------------------------------------------------------
 class TestQuarantine:
-    def test_serial_exception_is_quarantined_and_grid_completes(self):
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_serial_exception_is_quarantined_and_grid_completes(self, parallel):
         faults = FaultPlan([FaultSpec(kind="exception", match="secret=2")])
-        with Engine(policy=FAST, faults=faults) as engine:
+        with Engine(parallel=parallel, policy=FAST, faults=faults) as engine:
             result = engine.run_grid(_simulate_grid(range(4)))
         assert result.data["quarantined"] == 1
         assert result.data["points"] == 4
@@ -212,6 +245,53 @@ class TestQuarantine:
 
 
 # ---------------------------------------------------------------------------
+# Fail-fast grids (no policy) on the pool
+# ---------------------------------------------------------------------------
+class TestFailFastPool:
+    def test_point_exception_propagates_unchanged(self):
+        faults = FaultPlan([FaultSpec(kind="exception", match="secret=2")])
+        with Engine(parallel=2, faults=faults) as engine:
+            with pytest.raises(FaultInjected):
+                engine.run_grid(_simulate_grid(range(4)))
+
+    def test_broken_pool_reruns_unyielded_points_in_process(self, tmp_path):
+        grid = _simulate_grid(range(4))
+        with Engine() as engine:
+            serial = engine.run_grid(grid)
+        faults = FaultPlan(
+            [FaultSpec(kind="crash", match="secret=1", count=1)],
+            state_dir=tmp_path,
+        )
+        with Engine(parallel=2, faults=faults) as engine:
+            pooled = engine.run_grid(grid)
+        assert len(list(tmp_path.glob("*.token"))) == 1  # the crash fired
+        assert json.dumps(pooled.data, sort_keys=True) == json.dumps(
+            serial.data, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("policy", [None, FAST])
+    def test_failed_submission_still_completes_the_grid(self, policy):
+        grid = _simulate_grid(range(4))
+        with Engine() as engine:
+            serial = engine.run_grid(grid)
+        with Engine(parallel=2, policy=policy) as engine:
+            pool = engine._try_pool(2)
+            submit = pool.submit
+            calls = []
+
+            def flaky_submit(*args, **kwargs):
+                calls.append(args)
+                if len(calls) > 1:
+                    raise BrokenProcessPool("submission refused")
+                return submit(*args, **kwargs)
+
+            pool.submit = flaky_submit
+            pooled = engine.run_grid(grid)
+        assert len(calls) == 2  # the second task never reached the pool
+        assert pooled.data == serial.data
+
+
+# ---------------------------------------------------------------------------
 # Streaming + checkpointing + resume
 # ---------------------------------------------------------------------------
 class TestStreamingCheckpoints:
@@ -268,11 +348,12 @@ class TestStreamingCheckpoints:
 
 
 class TestFaultFreeEnvelopes:
-    def test_serial_and_policy_envelopes_are_identical(self):
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_serial_and_policy_envelopes_are_identical(self, parallel):
         grid = _simulate_grid(range(4))
         with Engine() as engine:
             legacy = engine.run_grid(grid)
-        with Engine(policy=FAST) as engine:
+        with Engine(parallel=parallel, policy=FAST) as engine:
             supervised = engine.run_grid(grid)
         assert supervised.data == legacy.data
         assert supervised.subject == legacy.subject

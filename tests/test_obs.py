@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cli import main
-from repro.engine import Engine
+from repro.engine import Engine, FailurePolicy
+from repro.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.obs import (
     MetricsRegistry,
     ProgressLine,
@@ -315,10 +316,15 @@ class TestEngineTracing:
         assert run["attrs"]["cache"] == result.cache
         assert records["store.put"]["parent"] == run["span"]
 
-    def test_sharded_grid_harvests_worker_spans_across_processes(self, tmp_path):
+    @pytest.mark.parametrize(
+        "policy", [None, FailurePolicy(retries=1, backoff=0.001, jitter=0.0)]
+    )
+    def test_sharded_grid_harvests_worker_spans_across_processes(
+        self, tmp_path, policy
+    ):
         sink = tmp_path / "grid.jsonl"
         tracer = Tracer(sink=str(sink))
-        engine = Engine(store=MemoryStore(), parallel=2, tracer=tracer)
+        engine = Engine(store=MemoryStore(), parallel=2, tracer=tracer, policy=policy)
         result = engine.run_grid(_grid(6))
         engine.close()
         assert result.ok
@@ -333,6 +339,16 @@ class TestEngineTracing:
         # The spans crossed a process boundary and still share one trace.
         assert any(record["pid"] != os.getpid() for record in workers)
         assert {record["trace"] for record in records} == {tracer.trace_id}
+
+    def test_failed_fail_fast_grid_finishes_its_sampled_out_spans(self):
+        # Every task span of a sampled-out grid holds the thread's drop
+        # depth until it finishes; a leaked one would drop every later span.
+        tracer = Tracer(sink=None, sample_rate=0.0)
+        faults = FaultPlan([FaultSpec(kind="exception", match="secret=0")])
+        with Engine(parallel=2, faults=faults, tracer=tracer) as engine:
+            with pytest.raises(FaultInjected):
+                engine.run_grid(_grid(4))
+        assert tracer.current_context() is not None
 
     def test_untraced_engine_matches_traced_results(self, tmp_path):
         plain = Engine(store=MemoryStore())
